@@ -118,6 +118,8 @@ def cmd_issue(args) -> int:
 
 def cmd_verify(args) -> int:
     doc = _read_json(args.cred)
+    if not isinstance(doc, dict):
+        raise wire.MalformedCredential("credential must be a JSON object")
     scheme_name = args.scheme or doc.get("scheme")
     if args.remote or not args.pub:
         endpoint = _resolve_endpoint(args.remote, wire.VERIFIER_ADDR_ENV,

@@ -2,8 +2,10 @@
 
 Points are held in extended homogeneous coordinates (X:Y:Z:T) with
 x = X/Z, y = Y/Z, xy = T/Z, so addition and doubling need no field
-inversions.  Scalar multiplication is plain left-to-right double-and-add;
-no window tables, no signed recoding, and nothing here is constant-time.
+inversions.  Scalar multiplication is plain left-to-right double-and-add,
+and a sum of several scalar multiples shares one doubling chain
+(interleaved, width 1); no window tables, no signed recoding, and nothing
+here is constant-time.
 """
 
 from __future__ import annotations
@@ -136,6 +138,34 @@ def scalar_mul(k: int, pt: ExtendedPoint) -> ExtendedPoint:
         acc = point_double(acc)
         if (k >> i) & 1:
             acc = point_add(acc, pt)
+    return acc
+
+
+def multi_scalar_mul(terms) -> ExtendedPoint:
+    """sum(k_i * P_i) for (k_i, P_i) in terms, by interleaved (Straus,
+    width 1) double-and-add.
+
+    All terms share one chain of max(bit_length(k_i)) - 1 doublings, and
+    each term adds its point wherever its scalar bit is set, so the sum
+    costs popcount(k_1) + ... + popcount(k_n) - 1 additions.  Zero scalars
+    contribute nothing; an empty or all-zero term list gives the neutral
+    point.
+    """
+    terms = [(k, pt) for k, pt in terms if k]
+    if any(k < 0 for k, _ in terms):
+        raise ValueError("scalars must be non-negative")
+    if not terms:
+        return NEUTRAL
+    top = max(k.bit_length() for k, _ in terms) - 1
+    acc = None
+    for k, pt in terms:
+        if k >> top:
+            acc = pt if acc is None else point_add(acc, pt)
+    for i in range(top - 1, -1, -1):
+        acc = point_double(acc)
+        for k, pt in terms:
+            if (k >> i) & 1:
+                acc = point_add(acc, pt)
     return acc
 
 

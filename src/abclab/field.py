@@ -44,7 +44,9 @@ def fe_mul(a: int, b: int) -> int:
 def fe_inv(a: int) -> int:
     """Multiplicative inverse mod p via Fermat: a^(p-2).
 
-    Kept off the curve hot path; only coordinate conversions need it.
+    Every conversion to affine coordinates pays one: ``to_affine``, and so
+    each ``point_bytes`` in the ecc160 challenge (three per issue and three
+    per verify) and each point the wire codecs encode.
     """
     if a % P == 0:
         raise ZeroInverse("0 has no inverse mod p")
@@ -68,6 +70,36 @@ def mod_pow(base: int, exp: int, modulus: int) -> int:
         acc = acc * acc % modulus
         if (exp >> i) & 1:
             acc = acc * base % modulus
+    return acc
+
+
+def multi_mod_pow(terms, modulus: int) -> int:
+    """prod(b_i**e_i) mod modulus for (b_i, e_i) in terms, by interleaved
+    (Straus, width 1) square-and-multiply.
+
+    All terms share one chain of max(bit_length(e_i)) - 1 squarings, and
+    each term multiplies its base in wherever its exponent bit is set.  The
+    same explicit loop as mod_pow, so the modexp scheme stays on the
+    interpreted substrate.  Zero exponents contribute nothing; an empty or
+    all-zero term list gives 1.
+    """
+    if modulus < 2:
+        raise BadModulus(f"modulus must be >= 2, got {modulus}")
+    terms = [(base % modulus, exp) for base, exp in terms if exp]
+    if any(exp < 0 for _, exp in terms):
+        raise ValueError("exponents must be non-negative")
+    if not terms:
+        return 1
+    top = max(exp.bit_length() for _, exp in terms) - 1
+    acc = 1
+    for base, exp in terms:
+        if exp >> top:
+            acc = acc * base % modulus
+    for i in range(top - 1, -1, -1):
+        acc = acc * acc % modulus
+        for base, exp in terms:
+            if (exp >> i) & 1:
+                acc = acc * base % modulus
     return acc
 
 

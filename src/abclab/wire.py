@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 import socket
 import struct
 import time
@@ -135,13 +136,17 @@ def _to_hex(value: int, width: int) -> str:
     return format(value, f"0{width}x")
 
 
+# The one accepted form of each number: int() alone would also take signs,
+# whitespace, underscores, a 0x prefix, leading zeros in decimals and
+# non-ASCII digits.
+_HEX = re.compile("[0-9a-f]*")
+_DECIMAL = re.compile("0|[1-9][0-9]*")
+
+
 def _from_hex(text, width: int, bound: int | None = None) -> int:
-    if not isinstance(text, str) or len(text) != width or text.lower() != text:
+    if not isinstance(text, str) or len(text) != width or not _HEX.fullmatch(text):
         raise MalformedCredential(f"expected {width} lowercase hex chars")
-    try:
-        value = int(text, 16)
-    except ValueError:
-        raise MalformedCredential("invalid hex digits") from None
+    value = int(text, 16)
     if bound is not None and value >= bound:
         raise MalformedCredential("value out of range")
     return value
@@ -174,9 +179,11 @@ def _attrs_from_wire(values) -> tuple[int, ...]:
     for item in values:
         if not isinstance(item, str):
             raise MalformedCredential("attributes must be decimal strings")
+        if not _DECIMAL.fullmatch(item):
+            raise MalformedCredential(f"bad decimal attribute {item!r}")
         try:
-            out.append(int(item, 10))
-        except ValueError:
+            out.append(int(item))
+        except ValueError:  # beyond the interpreter's int string-length limit
             raise MalformedCredential(f"bad decimal attribute {item!r}") from None
     return tuple(out)
 
@@ -229,6 +236,8 @@ def public_to_wire(scheme_name: str, public) -> dict:
 
 
 def public_from_wire(doc):
+    if not isinstance(doc, dict):
+        raise MalformedCredential("public key must be a JSON object")
     scheme_name = doc.get("scheme")
     if scheme_name == "ecc160":
         return scheme_name, decode_point(doc.get("public"))
@@ -259,6 +268,8 @@ def key_to_wire(scheme_name: str, key) -> dict:
 
 
 def key_from_wire(doc):
+    if not isinstance(doc, dict):
+        raise MalformedCredential("key must be a JSON object")
     scheme_name = doc.get("scheme")
     if scheme_name == "ecc160":
         return scheme_name, scheme.EccIssuerKey(

@@ -67,6 +67,21 @@ class TestIssueVerify:
         assert run_cli("verify", "--cred", str(cred), "--pub", str(ecc_key_file)) == 2
         assert "invalid" in capsys.readouterr().out
 
+    def test_pub_file_holding_a_list_exits_1(self, tmp_path, ecc_key_file, capsys):
+        cred = tmp_path / "cred.json"
+        run_cli("issue", "--scheme", "ecc160", "--attrs", "5",
+                "--key", str(ecc_key_file), "--out", str(cred))
+        pub = tmp_path / "pub.json"
+        pub.write_text("[]")
+        assert run_cli("verify", "--cred", str(cred), "--pub", str(pub)) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_cred_file_holding_a_list_exits_1(self, tmp_path, ecc_key_file, capsys):
+        cred = tmp_path / "cred.json"
+        cred.write_text("[]")
+        assert run_cli("verify", "--cred", str(cred), "--pub", str(ecc_key_file)) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_bad_attrs_flag(self, tmp_path, ecc_key_file):
         assert run_cli("issue", "--scheme", "ecc160", "--attrs", "1,zebra",
                        "--key", str(ecc_key_file), "--out", str(tmp_path / "c.json")) == 1

@@ -1,7 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from abclab import curve
 from abclab.curve import (
     BASE,
     BASE_X,
@@ -17,6 +19,7 @@ from abclab.curve import (
     ZeroDenominator,
     from_affine,
     is_on_curve,
+    multi_scalar_mul,
     point_add,
     point_double,
     point_equal,
@@ -278,3 +281,64 @@ class TestScalarMulCounted:
             total_d += doubles
             total_a += adds
         assert 0.45 <= total_a / total_d <= 0.55
+
+
+def per_term_oracle(terms):
+    """The sum of independent scalar_mul calls."""
+    acc = NEUTRAL
+    for k, pt in terms:
+        acc = point_add(acc, scalar_mul(k, pt))
+    return acc
+
+
+class TestMultiScalarMul:
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(
+        st.tuples(st.integers(min_value=0, max_value=Q - 1),
+                  st.integers(min_value=1, max_value=Q - 1).map(lambda h: scalar_mul(h, BASE))),
+        min_size=1, max_size=10))
+    def test_matches_per_term_oracle(self, terms):
+        got = multi_scalar_mul(terms)
+        assert_valid(got)
+        assert point_equal(got, per_term_oracle(terms))
+
+    def test_empty_is_neutral(self):
+        assert point_equal(multi_scalar_mul([]), NEUTRAL)
+
+    def test_zero_scalars(self):
+        pt = scalar_mul(5, BASE)
+        assert point_equal(multi_scalar_mul([(0, BASE)]), NEUTRAL)
+        assert point_equal(multi_scalar_mul([(0, BASE), (0, pt)]), NEUTRAL)
+        assert point_equal(multi_scalar_mul([(0, BASE), (3, pt), (0, pt)]),
+                           scalar_mul(15, BASE))
+
+    def test_one_term_is_scalar_mul(self):
+        rng = random.Random(11)
+        for k in (1, 2, 11, 2**40, Q - 1, Q + 5, rng.randrange(Q)):
+            assert multi_scalar_mul([(k, BASE)]) == scalar_mul(k, BASE)
+
+    def test_repeated_point(self):
+        pt = scalar_mul(7, BASE)
+        assert point_equal(multi_scalar_mul([(3, pt), (4, pt), (Q - 7, pt)]), NEUTRAL)
+
+    def test_negative_rejected(self):
+        for terms in ([(-1, BASE)], [(3, BASE), (-2, BASE)]):
+            with pytest.raises(ValueError):
+                multi_scalar_mul(terms)
+
+    def test_shares_one_doubling_chain(self, monkeypatch):
+        counts = {"double": 0, "add": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(curve, "point_double", counted("double", point_double))
+        monkeypatch.setattr(curve, "point_add", counted("add", point_add))
+        rng = random.Random(12)
+        scalars = [rng.randrange(1, 1 << rng.randrange(1, 120)) for _ in range(10)]
+        multi_scalar_mul([(k, BASE) for k in scalars])
+        assert counts["double"] == max(k.bit_length() for k in scalars) - 1
+        assert counts["add"] == sum(bin(k).count("1") for k in scalars) - 1

@@ -20,6 +20,7 @@ from abclab.field import (
     fe_mul,
     fe_sub,
     mod_pow,
+    multi_mod_pow,
     sc_reduce_wide,
 )
 
@@ -169,6 +170,47 @@ class TestModPow:
             if m < 2:
                 m = 3
             assert mod_pow(b, e, m) == pow(b, e, m)
+
+
+class TestMultiModPow:
+    @given(
+        st.lists(st.tuples(st.integers(min_value=0, max_value=1 << 1100),
+                           st.integers(min_value=0, max_value=1 << 300)),
+                 min_size=1, max_size=10),
+        st.integers(min_value=2, max_value=1 << 1024),
+    )
+    def test_matches_product_of_mod_pow(self, terms, m):
+        want = 1
+        for base, exp in terms:
+            want = want * mod_pow(base, exp, m) % m
+        assert multi_mod_pow(terms, m) == want
+
+    def test_empty_is_one(self):
+        assert multi_mod_pow([], M1024) == 1
+
+    def test_zero_exponents(self):
+        assert multi_mod_pow([(12345, 0)], M1024) == 1
+        assert multi_mod_pow([(0, 0), (7, 0)], 11) == 1
+        assert multi_mod_pow([(3, 0), (3, 200), (0, 0)], M1024) == GOLDEN_POW_3_200
+        assert multi_mod_pow([(0, 5), (2, 3)], 7) == 0
+
+    def test_one_term_is_mod_pow(self):
+        rng = random.Random(0x3E)
+        for _ in range(10):
+            b, e = rng.getrandbits(1100), rng.getrandbits(rng.randrange(1, 300))
+            assert multi_mod_pow([(b, e)], M1024) == mod_pow(b, e, M1024)
+
+    def test_negative_exponent_rejected(self):
+        for terms in ([(2, -1)], [(2, 5), (3, -2)]):
+            with pytest.raises(ValueError):
+                multi_mod_pow(terms, M1024)
+
+    def test_bad_modulus(self):
+        for m in (1, 0, -3):
+            with pytest.raises(BadModulus):
+                multi_mod_pow([(2, 2)], m)
+            with pytest.raises(BadModulus):
+                multi_mod_pow([], m)
 
 
 class TestScReduceWide:

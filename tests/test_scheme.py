@@ -116,6 +116,12 @@ class TestEccCommit:
     def test_zero_gives_neutral(self):
         assert point_equal(ecc_commit([0]), NEUTRAL)
 
+    def test_zero_attributes_contribute_nothing(self):
+        assert point_equal(ecc_commit([0] * 10), NEUTRAL)
+        h0, h2 = derive_generator(0), derive_generator(2)
+        assert point_equal(ecc_commit([5, 0, 7]),
+                           point_add(scalar_mul(5, h0), scalar_mul(7, h2)))
+
     def test_one_gives_first_generator(self):
         assert point_equal(ecc_commit([1]), derive_generator(0))
 

@@ -6,6 +6,7 @@ import struct
 import threading
 
 import pytest
+from hypothesis import given, strategies as st
 
 from abclab import scheme, wire
 from abclab.curve import BASE, BASE_X, BASE_Y, NEUTRAL, point_equal, scalar_mul
@@ -181,6 +182,38 @@ class TestCredentialCodec:
         with pytest.raises(MalformedCredential):
             credential_from_wire({"scheme": "modexp1024", "attributes": ["1x"], "signature": "0" * 256})
 
+    @pytest.mark.parametrize("text", [
+        "+5", " 5", "5 ", "5\n", "1_000", "05", "00", "-0", "-1", "", "\u0663", "1" * 5000,
+    ])
+    def test_non_canonical_attribute_rejected(self, text):
+        with pytest.raises(MalformedCredential):
+            credential_from_wire(
+                {"scheme": "modexp1024", "attributes": [text], "signature": "0" * 256})
+
+    @pytest.mark.parametrize("text", [
+        "0x" + "0" * 254, " " + "0" * 255, "0" * 255 + "\n", "+" + "0" * 255,
+        "-" + "0" * 255, "0" * 127 + "_" + "0" * 128, "0" * 255 + "\u0663",
+    ], ids=["0x", "leading-space", "trailing-newline", "plus", "minus", "underscore",
+            "arabic-indic-digit"])
+    def test_non_canonical_hex_rejected(self, text):
+        assert len(text) == 256
+        with pytest.raises(MalformedCredential):
+            credential_from_wire(
+                {"scheme": "modexp1024", "attributes": ["1"], "signature": text})
+
+    @given(st.lists(st.integers(min_value=0, max_value=Q - 1), min_size=1, max_size=10),
+           st.integers(min_value=0, max_value=(1 << 1024) - 1))
+    def test_decode_inverts_encode(self, attrs, signature):
+        cred = scheme.ModexpCredential(tuple(attrs), signature)
+        assert credential_from_wire(credential_to_wire("modexp1024", cred)) == (
+            "modexp1024", cred)
+
+    @given(st.lists(st.from_regex("0|[1-9][0-9]{0,75}", fullmatch=True), min_size=1),
+           st.from_regex("[0-9a-f]{256}", fullmatch=True))
+    def test_encode_inverts_decode(self, attrs, signature):
+        doc = {"scheme": "modexp1024", "attributes": attrs, "signature": signature}
+        assert credential_to_wire(*credential_from_wire(doc)) == doc
+
 
 class TestKeyCodec:
     def test_ecc_key_round_trip(self, ecc_key):
@@ -192,6 +225,13 @@ class TestKeyCodec:
     def test_modexp_key_round_trip(self, rsa_key):
         name, back = key_from_wire(key_to_wire("modexp1024", rsa_key))
         assert name == "modexp1024" and back == rsa_key
+
+    @pytest.mark.parametrize("doc", [[], "x", 5, None])
+    def test_non_object_documents_rejected(self, doc):
+        with pytest.raises(MalformedCredential):
+            public_from_wire(doc)
+        with pytest.raises(MalformedCredential):
+            key_from_wire(doc)
 
     def test_public_round_trip(self, ecc_key, rsa_key):
         name, pub = public_from_wire(public_to_wire("ecc160", ecc_key.public))
