@@ -2,9 +2,11 @@
 
 Reproduces the evaluation grid (schemes x attribute counts x repeated runs)
 and aggregates each cell into min/max/mean plus the share of runs at or
-above the mean.  Memory is the OS resident set size of this process,
-sampled by a background observer thread and reported in MB rounded to two
-decimal places.
+above the mean.  Memory is the OS resident set size of this process in MB,
+rounded to two decimal places: read just before and just after each phase,
+plus the getrusage peak when the phase raised it.  The scheme names, the
+attribute bound and the pair the ratio rows compare come from the scheme
+registry.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import os
 import random
 import statistics
 import sys
-import threading
 import time
 from dataclasses import asdict, dataclass
 
@@ -28,7 +29,9 @@ log = logging.getLogger(__name__)
 PHASES = ("issue", "verify")
 TIME_METRIC = "time_ms"
 MEMORY_METRIC = "memory_mb"
-RATIO_SCHEME_LABEL = "modexp1024/ecc160"
+# Ratio rows divide the heavyweight baseline's mean time by the lightweight one's.
+RATIO_PAIR = (scheme.MODEXP1024.name, scheme.ECC160.name)
+RATIO_SCHEME_LABEL = "/".join(RATIO_PAIR)
 
 # Consecutive failures after which a grid cell is abandoned.
 _CELL_FAILURE_LIMIT = 3
@@ -52,7 +55,6 @@ class BenchConfig:
     attr_counts: tuple[int, ...] = (1, 5, 10)
     runs: int = 100
     mode: str = "in-process"
-    memory_sample_interval_ms: float = 10.0
     seed: int | None = None
     out: str | None = None
     issuer_addr: tuple[str, int] | None = None
@@ -64,14 +66,13 @@ class BenchConfig:
         unknown = set(self.schemes) - set(scheme.SCHEME_NAMES)
         if unknown or not self.schemes:
             raise ValueError(f"schemes must be a non-empty subset of {scheme.SCHEME_NAMES}")
-        if not self.attr_counts or any(not 1 <= c <= 10 for c in self.attr_counts):
-            raise ValueError("attr_counts must be a non-empty subset of 1..10")
+        top = scheme.MAX_ATTRIBUTES
+        if not self.attr_counts or any(not 1 <= c <= top for c in self.attr_counts):
+            raise ValueError(f"attr_counts must be a non-empty subset of 1..{top}")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
         if self.mode not in ("in-process", "over-wire"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.memory_sample_interval_ms < 1.0:
-            raise ValueError("memory_sample_interval_ms must be >= 1")
         if self.mode == "over-wire" and not (self.issuer_addr and self.verifier_addr):
             raise ValueError("over-wire mode needs issuer_addr and verifier_addr")
 
@@ -110,13 +111,24 @@ class StatsSummary:
     pct_ge_mean: float
 
 
+def peak_rss_mb() -> float | None:
+    """The getrusage peak RSS of this process in MB, rounded to two decimals
+    (Linux reports it in kB, macOS in bytes); None where there is no getrusage."""
+    try:
+        import resource
+    except ImportError:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    scale = 1 if sys.platform == "darwin" else 1024
+    return round(peak * scale / 2**20, 2)
+
+
 def rss_mb() -> float:
     """Resident set size in MB, rounded to two decimals.
 
     The current RSS from /proc/self/statm (resident pages times page size).
-    Where that file cannot be read, the getrusage peak RSS of the process,
-    which Linux reports in kB and macOS in bytes.  Raises UnsupportedPlatform
-    when neither source gives a reading.
+    Where that file cannot be read, the getrusage peak RSS of the process.
+    Raises UnsupportedPlatform when neither source gives a reading.
     """
     try:
         with open("/proc/self/statm", "rb") as stream:
@@ -124,13 +136,10 @@ def rss_mb() -> float:
         return round(pages * os.sysconf("SC_PAGE_SIZE") / 2**20, 2)
     except (OSError, ValueError, IndexError):
         pass
-    try:
-        import resource
-    except ImportError as exc:
-        raise UnsupportedPlatform(f"no RSS reading available: {exc}") from exc
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    scale = 1 if sys.platform == "darwin" else 1024
-    return round(peak * scale / 2**20, 2)
+    peak = peak_rss_mb()
+    if peak is None:
+        raise UnsupportedPlatform("no RSS reading available: no /proc/self/statm, no getrusage")
+    return peak
 
 
 def time_phase(action):
@@ -140,45 +149,18 @@ def time_phase(action):
     return result, (time.perf_counter() - start) * 1e3
 
 
-def sample_memory(interval_ms: float, stop_event: threading.Event):
-    """Yield (monotonic_time, rss_mb) readings until stop_event is set."""
-    if interval_ms < 1.0:
-        raise ValueError("interval must be >= 1 ms")
-    while not stop_event.is_set():
-        yield time.perf_counter(), rss_mb()
-        stop_event.wait(interval_ms / 1e3)
-
-
-class MemorySampler:
-    """Background observer appending (time, rss_mb) to a sample log.
-
-    Reading the log while the thread appends is safe: list.append is atomic
-    and entries are only ever appended.
-    """
-
-    def __init__(self, interval_ms: float = 10.0):
-        self.interval_ms = interval_ms
-        self.samples: list[tuple[float, float]] = []
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._run, daemon=True)
-
-    def _run(self):
-        for entry in sample_memory(self.interval_ms, self._stop):
-            self.samples.append(entry)
-
-    def __enter__(self):
-        rss_mb()  # fail fast on platforms with no RSS facility
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc_info):
-        self._stop.set()
-        self._thread.join(timeout=2.0)
-
-    def window(self, start: float, end: float) -> list[float]:
-        """Samples that landed in [start, end); one direct reading if none did."""
-        values = [mb for (t, mb) in list(self.samples) if start <= t < end]
-        return values or [rss_mb()]
+def memory_phase(action):
+    """Run action as one phase; returns (its result, the phase's RSS samples):
+    the RSS just before and just after it and, if the getrusage peak rose
+    meanwhile, the new peak, which the process reached inside the phase."""
+    peak = peak_rss_mb()
+    samples = [rss_mb()]
+    result = action()
+    samples.append(rss_mb())
+    new_peak = peak_rss_mb()
+    if peak is not None and new_peak > peak:
+        samples.append(new_peak)
+    return result, samples
 
 
 def _fingerprint(wire_doc: dict) -> str:
@@ -197,38 +179,37 @@ def run_benchmark(config: BenchConfig) -> list[BenchRecord]:
     """
     rng = random.Random(config.seed) if config.seed is not None else random.SystemRandom()
     records: list[BenchRecord] = []
-    with MemorySampler(config.memory_sample_interval_ms) as sampler:
-        for scheme_name in config.schemes:
-            for attr_count in config.attr_counts:
-                attrs = scheme.DEFAULT_ATTRIBUTES[:attr_count]
-                failures = 0
-                for run_index in range(config.runs):
-                    try:
-                        result = _one_run(config, scheme_name, attrs, rng)
-                    except wire.WireError as exc:
-                        failures += 1
-                        log.warning(
-                            "run failed (%s, %d attrs, run %d): %s",
-                            scheme_name, attr_count, run_index, exc,
+    for scheme_name in config.schemes:
+        for attr_count in config.attr_counts:
+            attrs = scheme.DEFAULT_ATTRIBUTES[:attr_count]
+            failures = 0
+            for run_index in range(config.runs):
+                try:
+                    result = _one_run(config, scheme_name, attrs, rng)
+                except wire.WireError as exc:
+                    failures += 1
+                    log.warning(
+                        "run failed (%s, %d attrs, run %d): %s",
+                        scheme_name, attr_count, run_index, exc,
+                    )
+                    if failures >= _CELL_FAILURE_LIMIT:
+                        log.error(
+                            "aborting cell (%s, %d attrs) after %d consecutive "
+                            "failures; results for this cell are partial",
+                            scheme_name, attr_count, failures,
                         )
-                        if failures >= _CELL_FAILURE_LIMIT:
-                            log.error(
-                                "aborting cell (%s, %d attrs) after %d consecutive "
-                                "failures; results for this cell are partial",
-                                scheme_name, attr_count, failures,
-                            )
-                            break
-                        continue
-                    failures = 0
-                    (issue_ms, issue_span), (valid, verify_ms, verify_span), digest = result
-                    records.append(BenchRecord(
-                        scheme_name, "issue", attr_count, run_index,
-                        issue_ms, sampler.window(*issue_span), digest,
-                    ))
-                    records.append(BenchRecord(
-                        scheme_name, "verify", attr_count, run_index,
-                        verify_ms, sampler.window(*verify_span), digest, valid,
-                    ))
+                        break
+                    continue
+                failures = 0
+                (issue_ms, issue_mb), (valid, verify_ms, verify_mb), digest = result
+                records.append(BenchRecord(
+                    scheme_name, "issue", attr_count, run_index,
+                    issue_ms, issue_mb, digest,
+                ))
+                records.append(BenchRecord(
+                    scheme_name, "verify", attr_count, run_index,
+                    verify_ms, verify_mb, digest, valid,
+                ))
     return records
 
 
@@ -236,20 +217,18 @@ def _one_run(config, scheme_name, attrs, rng):
     if config.mode == "in-process":
         key = scheme.keygen(scheme_name, rng)
         public = scheme.public_part(scheme_name, key)
-        t0 = time.perf_counter()
-        cred, issue_ms = time_phase(lambda: scheme.issue(scheme_name, key, attrs, rng))
-        t1 = time.perf_counter()
-        valid, verify_ms = time_phase(lambda: scheme.verify(scheme_name, public, cred))
-        t2 = time.perf_counter()
+        (cred, issue_ms), issue_mb = memory_phase(
+            lambda: time_phase(lambda: scheme.issue(scheme_name, key, attrs, rng)))
+        (valid, verify_ms), verify_mb = memory_phase(
+            lambda: time_phase(lambda: scheme.verify(scheme_name, public, cred)))
         digest = _fingerprint(wire.credential_to_wire(scheme_name, cred))
     else:
-        t0 = time.perf_counter()
-        doc, issue_ms = wire.client_issue(config.issuer_addr, scheme_name, attrs)
-        t1 = time.perf_counter()
-        valid, verify_ms = wire.client_verify(config.verifier_addr, scheme_name, doc)
-        t2 = time.perf_counter()
+        (doc, issue_ms), issue_mb = memory_phase(
+            lambda: wire.client_issue(config.issuer_addr, scheme_name, attrs))
+        (valid, verify_ms), verify_mb = memory_phase(
+            lambda: wire.client_verify(config.verifier_addr, scheme_name, doc))
         digest = _fingerprint(doc)
-    return (issue_ms, (t0, t1)), (valid, verify_ms, (t1, t2)), digest
+    return (issue_ms, issue_mb), (valid, verify_ms, verify_mb), digest
 
 
 def summarize(records: list[BenchRecord]) -> list[StatsSummary]:
@@ -279,16 +258,17 @@ def summarize(records: list[BenchRecord]) -> list[StatsSummary]:
 
 
 def mean_ratio_rows(summaries: list[StatsSummary]) -> list[dict]:
-    """modexp1024/ecc160 mean-time ratios per (phase, attr_count) cell."""
+    """RATIO_PAIR mean-time ratios per (phase, attr_count) cell."""
+    heavy, light = RATIO_PAIR
     means: dict[tuple, float] = {}
     for s in summaries:
         if s.metric == TIME_METRIC:
             means[(s.scheme, s.phase, s.attr_count)] = s.mean
     rows = []
     for (scheme_name, phase, attr_count), slow_mean in sorted(means.items()):
-        if scheme_name != "modexp1024":
+        if scheme_name != heavy:
             continue
-        fast_mean = means.get(("ecc160", phase, attr_count))
+        fast_mean = means.get((light, phase, attr_count))
         if fast_mean:
             rows.append({
                 "phase": phase,
@@ -334,7 +314,7 @@ def _render_markdown(summaries, ratios, stream):
                 f"| {s.mean:.2f} | {s.pct_ge_mean:.2f} |\n"
             )
     if ratios:
-        stream.write("\n## Mean-time ratios (modexp1024 / ecc160)\n\n")
+        stream.write("\n## Mean-time ratios ({} / {})\n\n".format(*RATIO_PAIR))
         stream.write("| phase | attrs | ratio |\n| --- | --- | --- |\n")
         for row in ratios:
             stream.write(f"| {row['phase']} | {row['attr_count']} | {row['ratio']:.2f} |\n")
@@ -362,10 +342,6 @@ def emit_report(summaries, fmt: str, path) -> None:
             _RENDERERS[fmt](summaries, ratios, stream)
     except OSError as exc:
         raise IoFailure(f"cannot write report to {path}: {exc}") from exc
-
-
-def summaries_from_json(doc: dict) -> list[StatsSummary]:
-    return [StatsSummary(**entry) for entry in doc["summaries"]]
 
 
 def save_records(path, config: BenchConfig, records: list[BenchRecord]) -> None:

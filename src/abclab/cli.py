@@ -70,13 +70,9 @@ def _load_key(path):
 
 
 def _load_public(path):
-    """Accept either a public-key file or a full key file."""
-    doc = _read_json(path)
-    try:
-        return wire.public_from_wire(doc)
-    except wire.MalformedCredential:
-        name, key = wire.key_from_wire(doc)
-        return name, scheme.public_part(name, key)
+    """Accept either a public-key file or a full key file, which holds the
+    public-key fields too."""
+    return wire.public_from_wire(_read_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +116,7 @@ def cmd_verify(args) -> int:
     doc = _read_json(args.cred)
     if not isinstance(doc, dict):
         raise wire.MalformedCredential("credential must be a JSON object")
-    scheme_name = args.scheme or doc.get("scheme")
+    scheme_name = scheme.lookup(args.scheme or doc.get("scheme")).name
     if args.remote or not args.pub:
         endpoint = _resolve_endpoint(args.remote, wire.VERIFIER_ADDR_ENV,
                                      wire.DEFAULT_VERIFIER_PORT)
@@ -174,7 +170,7 @@ def _print_summaries(summaries, ratios) -> None:
         print(f"{s.scheme:<12} {s.phase:<7} {s.attr_count:>5} {s.metric:<10} "
               f"{s.min:>10.2f} {s.max:>10.2f} {s.mean:>10.2f} {s.pct_ge_mean:>8.2f}")
     for row in ratios:
-        print(f"mean-time ratio modexp1024/ecc160 "
+        print(f"mean-time ratio {bench.RATIO_SCHEME_LABEL} "
               f"[{row['phase']}, {row['attr_count']} attrs]: {row['ratio']:.2f}")
 
 
@@ -190,8 +186,6 @@ def cmd_bench(args) -> int:
         base["mode"] = args.mode
     if args.seed is not None:
         base["seed"] = args.seed
-    if args.interval is not None:
-        base["memory_sample_interval_ms"] = args.interval
     if args.out:
         base["out"] = args.out
     if base.get("mode") == "over-wire":
@@ -278,7 +272,6 @@ def build_parser() -> _Parser:
     p.add_argument("--runs", type=int)
     p.add_argument("--mode", choices=("in-process", "over-wire"))
     p.add_argument("--seed", type=int)
-    p.add_argument("--interval", type=float, help="memory sample interval (ms)")
     p.add_argument("--config", help="JSON file with benchmark configuration")
     p.add_argument("--issuer", help="issuer endpoint for over-wire mode")
     p.add_argument("--verifier", help="verifier endpoint for over-wire mode")

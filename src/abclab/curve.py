@@ -18,10 +18,9 @@ from .field import P, Q, fe_inv
 # formulas below, which only hold for a = -1).
 D = 37095705934669439343138083508754565189542113879843219016388785533085940283555
 
-# Base point of order Q, plus the conventional initial denominator.
+# Base point of order Q.
 BASE_X = 15112221349535400772501151409588531511454012693041857206046113283949847762202
 BASE_Y = 46316835694926478169428394003475163141307993866256225615783033603165251855960
-Z0 = 1
 
 
 class NotOnCurve(ValueError):
@@ -44,20 +43,8 @@ class ExtendedPoint(NamedTuple):
     T: int
 
 
-class CurveParams(NamedTuple):
-    p: int
-    d: int
-    a: int
-    q: int
-    base_x: int
-    base_y: int
-    z0: int
-
-
-PARAMS = CurveParams(p=P, d=D, a=P - 1, q=Q, base_x=BASE_X, base_y=BASE_Y, z0=Z0)
-
 NEUTRAL = ExtendedPoint(0, 1, 1, 0)
-BASE = ExtendedPoint(BASE_X, BASE_Y, Z0, BASE_X * BASE_Y % P)
+BASE = ExtendedPoint(BASE_X, BASE_Y, 1, BASE_X * BASE_Y % P)
 
 
 def is_on_curve(pt: AffinePoint) -> bool:

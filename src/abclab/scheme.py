@@ -16,6 +16,10 @@ sum(a_i * H_i) and the representative's prod(R_i ^ digest_i) -- as one
 interleaved multi-exponentiation, so the attribute terms share one chain of
 doublings or squarings.
 
+Each scheme is one ``Scheme`` object in the ``SCHEMES`` registry: its
+protocol functions, its key check and the wire layouts of its documents.
+The codecs, the benchmark and the CLI read every scheme fact from there.
+
 Neither scheme claims cryptographic hiding or unlinkability; they exist to
 give the benchmark two honest, verifiable cost profiles.
 """
@@ -26,6 +30,7 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .curve import (
     BASE,
@@ -54,8 +59,6 @@ DEFAULT_ATTRIBUTES = (
     393090009322226684739352798186683,
     2930303348526267,
 )
-
-SCHEME_NAMES = ("ecc160", "modexp1024")
 
 # Domain-separation tags for every hash the schemes compute.
 _TAG_GENERATOR = b"abc-gen-v1"
@@ -86,6 +89,10 @@ class UnknownScheme(ValueError):
     """Scheme tag is not one of SCHEME_NAMES."""
 
 
+class InconsistentKey(ValueError):
+    """An issuer key's fields do not belong together."""
+
+
 class RngFailure(RuntimeError):
     """The injected randomness source misbehaved."""
 
@@ -108,6 +115,11 @@ class EccCredential:
     response: int               # (k + c*x) mod q
 
 
+class ModexpPublic(NamedTuple):
+    n: int
+    e: int
+
+
 @dataclass(frozen=True)
 class ModexpIssuerKey:
     p1: int
@@ -117,8 +129,8 @@ class ModexpIssuerKey:
     d: int
 
     @property
-    def public(self) -> tuple[int, int]:
-        return self.n, self.e
+    def public(self) -> ModexpPublic:
+        return ModexpPublic(self.n, self.e)
 
 
 @dataclass(frozen=True)
@@ -206,6 +218,12 @@ def ecc_keygen(rng=None) -> EccIssuerKey:
     rng = rng or _SYSTEM_RNG
     x = _rand_scalar(rng)
     return EccIssuerKey(secret=x, public=scalar_mul(x, BASE))
+
+
+def check_ecc_key(key: EccIssuerKey) -> None:
+    """Raise InconsistentKey unless public == secret * B."""
+    if not point_equal(key.public, scalar_mul(key.secret, BASE)):
+        raise InconsistentKey("public is not secret * B")
 
 
 def ecc_commit(attrs) -> ExtendedPoint:
@@ -348,6 +366,15 @@ def rsa_keygen(rng=None) -> ModexpIssuerKey:
     return key
 
 
+def check_rsa_key(key: ModexpIssuerKey) -> None:
+    """Raise InconsistentKey unless n == p1 * p2 and e * d == 1 mod lcm(p1 - 1, p2 - 1)."""
+    if key.n != key.p1 * key.p2:
+        raise InconsistentKey("n is not p1 * p2")
+    lam = math.lcm(key.p1 - 1, key.p2 - 1)
+    if not lam or key.e * key.d % lam != 1:
+        raise InconsistentKey("e * d is not 1 mod lcm(p1 - 1, p2 - 1)")
+
+
 def fdh(attrs, n: int) -> int:
     """Full-domain hash: four chained SHA-256 blocks truncated to 1016 bits.
 
@@ -396,7 +423,7 @@ def rsa_issue(key: ModexpIssuerKey, attrs) -> ModexpCredential:
     return ModexpCredential(attrs, sig)
 
 
-def rsa_verify(public: tuple[int, int], cred: ModexpCredential) -> bool:
+def rsa_verify(public: ModexpPublic, cred: ModexpCredential) -> bool:
     n, e = public
     if not 0 < cred.signature < n:
         return False
@@ -408,37 +435,80 @@ def rsa_verify(public: tuple[int, int], cred: ModexpCredential) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Uniform dispatch used by the wire services, benchmark, and CLI
+# The registry: one object per scheme, and the uniform entry points over it
 # ---------------------------------------------------------------------------
 
 
+class Hex(NamedTuple):
+    """A wire int: exactly `width` lowercase hex chars, below `bound` if given."""
+    width: int
+    bound: int | None = None
+
+
+POINT = "point"  # a wire field holding a curve point as affine x and y
+
+
+class Layout(NamedTuple):
+    """The fields of one wire document, by name, in document order, and the
+    type that holds them.  Without a type, the value is the one field itself."""
+    fields: dict
+    record: type | None = None
+
+
+@dataclass(frozen=True)
+class Scheme:
+    name: str
+    keygen: Callable      # (rng) -> issuer key
+    issue: Callable       # (key, attrs, rng) -> credential
+    verify: Callable      # (public part of the key, credential) -> bool
+    check_key: Callable   # (key) -> None; raises InconsistentKey
+    credential: Layout    # every credential also carries its attributes
+    public: Layout
+    key: Layout
+
+
+ECC160 = Scheme(
+    "ecc160", ecc_keygen, ecc_issue, ecc_verify, check_ecc_key,
+    credential=Layout(
+        {"commitment": POINT, "nonce_point": POINT, "response": Hex(64, Q)}, EccCredential),
+    public=Layout({"public": POINT}),
+    key=Layout({"secret": Hex(64, Q), "public": POINT}, EccIssuerKey),
+)
+
+MODEXP1024 = Scheme(
+    "modexp1024", rsa_keygen,
+    lambda key, attrs, rng=None: rsa_issue(key, attrs),  # deterministic: draws no rng
+    rsa_verify, check_rsa_key,
+    credential=Layout({"signature": Hex(256)}, ModexpCredential),
+    public=Layout({"n": Hex(256), "e": Hex(256)}, ModexpPublic),
+    key=Layout({"p1": Hex(128), "p2": Hex(128), "n": Hex(256), "e": Hex(256),
+                "d": Hex(256)}, ModexpIssuerKey),
+)
+
+SCHEMES = {s.name: s for s in (ECC160, MODEXP1024)}
+SCHEME_NAMES = tuple(SCHEMES)
+
+
+def lookup(name) -> Scheme:
+    """The scheme registered under name; UnknownScheme for anything else."""
+    try:
+        return SCHEMES[name]
+    except (KeyError, TypeError):  # TypeError: an unhashable tag from a JSON document
+        raise UnknownScheme(f"unknown scheme {name!r}") from None
+
+
 def keygen(scheme: str, rng=None):
-    if scheme == "ecc160":
-        return ecc_keygen(rng)
-    if scheme == "modexp1024":
-        return rsa_keygen(rng)
-    raise UnknownScheme(scheme)
+    return lookup(scheme).keygen(rng)
 
 
 def public_part(scheme: str, key):
-    if scheme == "ecc160":
-        return key.public
-    if scheme == "modexp1024":
-        return key.public
-    raise UnknownScheme(scheme)
+    lookup(scheme)
+    return key.public
 
 
 def issue(scheme: str, key, attrs, rng=None):
-    if scheme == "ecc160":
-        return ecc_issue(key, attrs, rng)
-    if scheme == "modexp1024":
-        return rsa_issue(key, attrs)
-    raise UnknownScheme(scheme)
+    return lookup(scheme).issue(key, attrs, rng)
 
 
 def verify(scheme: str, public, cred) -> bool:
-    if scheme == "ecc160":
-        return ecc_verify(public, cred)
-    if scheme == "modexp1024":
-        return rsa_verify(public, cred)
-    raise UnknownScheme(scheme)
+    return lookup(scheme).verify(public, cred)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from . import scheme
 from .curve import AffinePoint, ExtendedPoint, NotOnCurve, from_affine, to_affine
-from .field import P, Q
+from .field import P
 
 log = logging.getLogger(__name__)
 
@@ -31,6 +31,10 @@ ENVELOPE_TYPES = (
     "VERIFY_RESPONSE",
     "ERROR",
 )
+
+# Per read or write on an accepted connection: a peer that stalls mid-request
+# is dropped after this, so it holds up the sequential services no longer.
+CONNECTION_TIMEOUT_S = 2.0
 
 DEFAULT_ISSUER_PORT = 7001
 DEFAULT_VERIFIER_PORT = 7002
@@ -188,103 +192,69 @@ def _attrs_from_wire(values) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _layout_to_wire(layout: scheme.Layout, value) -> dict:
+    """The document fields of value, each in its one wire form."""
+    doc = {}
+    for field, codec in layout.fields.items():
+        item = value if layout.record is None else getattr(value, field)
+        doc[field] = encode_point(item) if codec is scheme.POINT else _to_hex(item, codec.width)
+    return doc
+
+
+def _layout_from_wire(layout: scheme.Layout, doc: dict, **extra):
+    """The value whose fields doc holds; extra fields go to its type as they are."""
+    values = {}
+    for field, codec in layout.fields.items():
+        text = doc.get(field)
+        values[field] = (decode_point(text) if codec is scheme.POINT
+                         else _from_hex(text, codec.width, codec.bound))
+    return values.popitem()[1] if layout.record is None else layout.record(**extra, **values)
+
+
+def _scheme_of(doc, kind: str) -> scheme.Scheme:
+    """The scheme a decoded document names; MalformedCredential if none."""
+    if not isinstance(doc, dict):
+        raise MalformedCredential(f"{kind} must be a JSON object")
+    try:
+        return scheme.lookup(doc.get("scheme"))
+    except scheme.UnknownScheme:
+        raise MalformedCredential(f"unknown scheme tag {doc.get('scheme')!r}") from None
+
+
 def credential_to_wire(scheme_name: str, cred) -> dict:
-    if scheme_name == "ecc160":
-        return {
-            "scheme": scheme_name,
-            "attributes": _attrs_to_wire(cred.attributes),
-            "commitment": encode_point(cred.commitment),
-            "nonce_point": encode_point(cred.nonce_point),
-            "response": _to_hex(cred.response, 64),
-        }
-    if scheme_name == "modexp1024":
-        return {
-            "scheme": scheme_name,
-            "attributes": _attrs_to_wire(cred.attributes),
-            "signature": _to_hex(cred.signature, 256),
-        }
-    raise scheme.UnknownScheme(scheme_name)
+    layout = scheme.lookup(scheme_name).credential
+    return {"scheme": scheme_name, "attributes": _attrs_to_wire(cred.attributes),
+            **_layout_to_wire(layout, cred)}
 
 
 def credential_from_wire(doc) -> tuple[str, object]:
-    if not isinstance(doc, dict):
-        raise MalformedCredential("credential must be a JSON object")
-    scheme_name = doc.get("scheme")
+    found = _scheme_of(doc, "credential")
     attrs = _attrs_from_wire(doc.get("attributes"))
-    if scheme_name == "ecc160":
-        return scheme_name, scheme.EccCredential(
-            attributes=attrs,
-            commitment=decode_point(doc.get("commitment")),
-            nonce_point=decode_point(doc.get("nonce_point")),
-            response=_from_hex(doc.get("response"), 64, Q),
-        )
-    if scheme_name == "modexp1024":
-        return scheme_name, scheme.ModexpCredential(
-            attributes=attrs,
-            signature=_from_hex(doc.get("signature"), 256),
-        )
-    raise MalformedCredential(f"unknown scheme tag {scheme_name!r}")
+    return found.name, _layout_from_wire(found.credential, doc, attributes=attrs)
 
 
 def public_to_wire(scheme_name: str, public) -> dict:
-    if scheme_name == "ecc160":
-        return {"scheme": scheme_name, "public": encode_point(public)}
-    if scheme_name == "modexp1024":
-        n, e = public
-        return {"scheme": scheme_name, "n": _to_hex(n, 256), "e": _to_hex(e, 256)}
-    raise scheme.UnknownScheme(scheme_name)
+    return {"scheme": scheme_name, **_layout_to_wire(scheme.lookup(scheme_name).public, public)}
 
 
 def public_from_wire(doc):
-    if not isinstance(doc, dict):
-        raise MalformedCredential("public key must be a JSON object")
-    scheme_name = doc.get("scheme")
-    if scheme_name == "ecc160":
-        return scheme_name, decode_point(doc.get("public"))
-    if scheme_name == "modexp1024":
-        n = _from_hex(doc.get("n"), 256)
-        e = _from_hex(doc.get("e"), 256)
-        return scheme_name, (n, e)
-    raise MalformedCredential(f"unknown scheme tag {scheme_name!r}")
+    found = _scheme_of(doc, "public key")
+    return found.name, _layout_from_wire(found.public, doc)
 
 
 def key_to_wire(scheme_name: str, key) -> dict:
-    if scheme_name == "ecc160":
-        return {
-            "scheme": scheme_name,
-            "secret": _to_hex(key.secret, 64),
-            "public": encode_point(key.public),
-        }
-    if scheme_name == "modexp1024":
-        return {
-            "scheme": scheme_name,
-            "p1": _to_hex(key.p1, 128),
-            "p2": _to_hex(key.p2, 128),
-            "n": _to_hex(key.n, 256),
-            "e": _to_hex(key.e, 256),
-            "d": _to_hex(key.d, 256),
-        }
-    raise scheme.UnknownScheme(scheme_name)
+    return {"scheme": scheme_name, **_layout_to_wire(scheme.lookup(scheme_name).key, key)}
 
 
 def key_from_wire(doc):
-    if not isinstance(doc, dict):
-        raise MalformedCredential("key must be a JSON object")
-    scheme_name = doc.get("scheme")
-    if scheme_name == "ecc160":
-        return scheme_name, scheme.EccIssuerKey(
-            secret=_from_hex(doc.get("secret"), 64, Q),
-            public=decode_point(doc.get("public")),
-        )
-    if scheme_name == "modexp1024":
-        return scheme_name, scheme.ModexpIssuerKey(
-            p1=_from_hex(doc.get("p1"), 128),
-            p2=_from_hex(doc.get("p2"), 128),
-            n=_from_hex(doc.get("n"), 256),
-            e=_from_hex(doc.get("e"), 256),
-            d=_from_hex(doc.get("d"), 256),
-        )
-    raise MalformedCredential(f"unknown scheme tag {scheme_name!r}")
+    """Decode an issuer key and check that its fields belong together."""
+    found = _scheme_of(doc, "key")
+    key = _layout_from_wire(found.key, doc)
+    try:
+        found.check_key(key)
+    except scheme.InconsistentKey as exc:
+        raise MalformedCredential(f"inconsistent {found.name} key: {exc}") from None
+    return found.name, key
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +289,7 @@ def _serve(endpoint, handler, stop_event) -> None:
                 conn, _addr = listener.accept()
             except socket.timeout:
                 continue
+            conn.settimeout(CONNECTION_TIMEOUT_S)
             try:
                 with conn, conn.makefile("rwb") as stream:
                     try:
@@ -326,6 +297,8 @@ def _serve(endpoint, handler, stop_event) -> None:
                         response = handler(request)
                     except WireError as exc:
                         response = _error_envelope("MALFORMED", str(exc))
+                    except OSError:  # the peer stalled or went away: no reply
+                        raise
                     except Exception as exc:  # never let the loop die
                         log.exception("handler failure")
                         response = _error_envelope("INTERNAL", str(exc))

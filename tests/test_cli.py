@@ -6,6 +6,7 @@ import pytest
 
 from abclab import bench, scheme, wire
 from abclab.cli import main
+from abclab.curve import BASE
 
 
 def run_cli(*argv):
@@ -82,6 +83,14 @@ class TestIssueVerify:
         assert run_cli("verify", "--cred", str(cred), "--pub", str(ecc_key_file)) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_inconsistent_key_file_exits_1(self, tmp_path, ecc_key_file, capsys):
+        doc = json.loads(ecc_key_file.read_text())
+        doc["public"] = wire.encode_point(BASE)
+        ecc_key_file.write_text(json.dumps(doc))
+        assert run_cli("issue", "--scheme", "ecc160", "--attrs", "5",
+                       "--key", str(ecc_key_file), "--out", str(tmp_path / "c.json")) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_bad_attrs_flag(self, tmp_path, ecc_key_file):
         assert run_cli("issue", "--scheme", "ecc160", "--attrs", "1,zebra",
                        "--key", str(ecc_key_file), "--out", str(tmp_path / "c.json")) == 1
@@ -130,6 +139,18 @@ class TestRemote:
             stop.set()
             for t in threads:
                 t.join(timeout=3)
+
+    @pytest.mark.parametrize("doc", [{"attributes": ["1"]},
+                                     {"scheme": "rot13", "attributes": ["1"]}])
+    def test_remote_verify_without_scheme_exits_1(self, tmp_path, monkeypatch, capsys, doc):
+        def refuse(*args, **kwargs):
+            raise AssertionError("no connection may be opened")
+
+        monkeypatch.setattr(socket, "create_connection", refuse)
+        cred = tmp_path / "cred.json"
+        cred.write_text(json.dumps(doc))
+        assert run_cli("verify", "--cred", str(cred), "--remote", "127.0.0.1:9") == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_dead_endpoint_exits_3(self, tmp_path):
         probe = socket.create_server(("127.0.0.1", 0))

@@ -11,7 +11,6 @@ from abclab.curve import (
     D,
     NEUTRAL,
     P,
-    PARAMS,
     Q,
     AffinePoint,
     ExtendedPoint,

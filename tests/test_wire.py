@@ -1,15 +1,18 @@
+import dataclasses
 import io
 import json
+import logging
 import random
 import socket
 import struct
 import threading
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
 from abclab import scheme, wire
-from abclab.curve import BASE, BASE_X, BASE_Y, NEUTRAL, point_equal, scalar_mul
+from abclab.curve import BASE, BASE_X, BASE_Y, NEUTRAL, point_add, point_equal, scalar_mul
 from abclab.field import Q
 from abclab.wire import (
     ConnectionFailed,
@@ -233,11 +236,68 @@ class TestKeyCodec:
         with pytest.raises(MalformedCredential):
             key_from_wire(doc)
 
+    @pytest.mark.parametrize("name, field, corrupt", [
+        ("modexp1024", "n", lambda key: key.n - 2),
+        ("modexp1024", "d", lambda key: key.d ^ 2),
+        ("ecc160", "public", lambda key: point_add(key.public, BASE)),
+    ], ids=["n-not-p1-p2", "d-not-inverse-of-e", "public-not-secret-B"])
+    def test_inconsistent_key_rejected(self, name, field, corrupt, ecc_key, rsa_key):
+        key = {"ecc160": ecc_key, "modexp1024": rsa_key}[name]
+        doc = key_to_wire(name, dataclasses.replace(key, **{field: corrupt(key)}))
+        with pytest.raises(MalformedCredential, match="inconsistent"):
+            key_from_wire(doc)
+
     def test_public_round_trip(self, ecc_key, rsa_key):
         name, pub = public_from_wire(public_to_wire("ecc160", ecc_key.public))
         assert name == "ecc160" and point_equal(pub, ecc_key.public)
         name, pub = public_from_wire(public_to_wire("modexp1024", rsa_key.public))
         assert name == "modexp1024" and pub == rsa_key.public
+
+
+@pytest.mark.parametrize("entry", scheme.SCHEMES.values(), ids=scheme.SCHEME_NAMES)
+class TestRegistry:
+    """What every registered scheme must do; a new scheme needs only its object."""
+
+    def test_keygen_issue_verify(self, entry):
+        rng = random.Random(41)
+        key = entry.keygen(rng)
+        cred = entry.issue(key, scheme.DEFAULT_ATTRIBUTES[:3], rng)
+        assert entry.verify(key.public, cred)
+        assert scheme.verify(entry.name, scheme.public_part(entry.name, key), cred)
+
+    def test_documents_round_trip(self, entry):
+        rng = random.Random(42)
+        key = scheme.keygen(entry.name, rng)
+        cred = scheme.issue(entry.name, key, scheme.DEFAULT_ATTRIBUTES[:2], rng)
+        for encode, decode, value in (
+            (credential_to_wire, credential_from_wire, cred),
+            (public_to_wire, public_from_wire, key.public),
+            (key_to_wire, key_from_wire, key),
+        ):
+            doc = encode(entry.name, value)
+            name, back = decode(json.loads(json.dumps(doc)))
+            assert name == entry.name and doc["scheme"] == entry.name
+            assert encode(name, back) == doc
+
+    def test_unknown_name(self, entry):
+        rng = random.Random(43)
+        key = entry.keygen(rng)
+        cred = entry.issue(key, [1], rng)
+        for call in (
+            lambda: scheme.lookup("rot13"),
+            lambda: scheme.keygen("rot13", rng),
+            lambda: scheme.public_part("rot13", key),
+            lambda: scheme.issue("rot13", key, [1], rng),
+            lambda: scheme.verify("rot13", key.public, cred),
+            lambda: credential_to_wire("rot13", cred),
+            lambda: public_to_wire("rot13", key.public),
+            lambda: key_to_wire("rot13", key),
+        ):
+            with pytest.raises(scheme.UnknownScheme):
+                call()
+        for decode in (credential_from_wire, public_from_wire, key_from_wire):
+            with pytest.raises(MalformedCredential):
+                decode({**key_to_wire(entry.name, key), "scheme": "rot13"})
 
 
 class TestParseEndpoint:
@@ -335,6 +395,20 @@ class TestServices:
         # ...must not stop the next legitimate client from being served.
         doc, _ = client_issue(issuer_ep, "ecc160", [42])
         assert doc["scheme"] == "ecc160"
+
+    def test_stalled_peer_is_dropped(self, services, caplog):
+        issuer_ep, _ = services
+        with socket.create_connection(issuer_ep) as stalled:
+            stalled.sendall(b"\x00\x00")  # half a length prefix, then nothing
+            start = time.perf_counter()
+            with caplog.at_level(logging.WARNING, logger="abclab.wire"):
+                doc, _ = client_issue(issuer_ep, "ecc160", [42])
+            waited = time.perf_counter() - start
+            stalled.settimeout(5)
+            assert stalled.recv(64) == b""  # closed without an ERROR reply
+        assert doc["scheme"] == "ecc160"
+        assert waited < wire.CONNECTION_TIMEOUT_S + 3
+        assert any("dropped" in r.getMessage() for r in caplog.records)
 
     def test_error_reply_on_garbage_frame(self, services):
         issuer_ep, _ = services
