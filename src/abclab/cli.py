@@ -15,6 +15,7 @@ import random
 import sys
 
 from . import bench, scheme, wire
+from .curve import InvalidPoint
 
 
 class UsageError(Exception):
@@ -131,7 +132,7 @@ def cmd_verify(args) -> int:
             )
         try:
             valid = scheme.verify(scheme_name, public, cred)
-        except scheme.MalformedPoint:
+        except InvalidPoint:
             valid = False
     print("valid" if valid else "invalid")
     return 0 if valid else 2

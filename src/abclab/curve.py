@@ -23,12 +23,8 @@ BASE_X = 15112221349535400772501151409588531511454012693041857206046113283949847
 BASE_Y = 46316835694926478169428394003475163141307993866256225615783033603165251855960
 
 
-class NotOnCurve(ValueError):
-    """Raised when affine coordinates fail the curve equation."""
-
-
-class ZeroDenominator(ZeroDivisionError):
-    """Raised when converting a point with Z == 0 to affine."""
+class InvalidPoint(ValueError):
+    """Raised for coordinates that are not a consistent point on the curve."""
 
 
 class AffinePoint(NamedTuple):
@@ -47,24 +43,29 @@ NEUTRAL = ExtendedPoint(0, 1, 1, 0)
 BASE = ExtendedPoint(BASE_X, BASE_Y, 1, BASE_X * BASE_Y % P)
 
 
-def is_on_curve(pt: AffinePoint) -> bool:
-    """True iff -x^2 + y^2 == 1 + d*x^2*y^2 (mod p)."""
-    x, y = pt
-    xx = x * x % P
-    yy = y * y % P
-    return (yy - xx) % P == (1 + D * xx % P * yy) % P
+def check_point(pt: ExtendedPoint) -> ExtendedPoint:
+    """pt if Z != 0, XY == TZ and the projective curve equation
+    (-X^2 + Y^2) Z^2 == Z^4 + d X^2 Y^2 hold; InvalidPoint if not."""
+    X, Y, Z, T = pt
+    if Z % P == 0:
+        raise InvalidPoint("Z == 0")
+    if (X * Y - T * Z) % P != 0:
+        raise InvalidPoint("T is inconsistent with X, Y, Z")
+    xx = X * X % P
+    yy = Y * Y % P
+    zz = Z * Z % P
+    if (yy - xx) * zz % P != (zz * zz + D * xx % P * yy) % P:
+        raise InvalidPoint("coordinates are off the curve")
+    return pt
 
 
 def from_affine(pt: AffinePoint) -> ExtendedPoint:
-    """Lift (x, y) to (x : y : 1 : xy); rejects points off the curve."""
-    if not is_on_curve(pt):
-        raise NotOnCurve(f"({pt.x}, {pt.y}) does not satisfy the curve equation")
-    return ExtendedPoint(pt.x, pt.y, 1, pt.x * pt.y % P)
+    """Lift (x, y) to (x : y : 1 : xy); InvalidPoint if it is off the curve."""
+    return check_point(ExtendedPoint(pt.x, pt.y, 1, pt.x * pt.y % P))
 
 
 def to_affine(pt: ExtendedPoint) -> AffinePoint:
-    if pt.Z % P == 0:
-        raise ZeroDenominator("point has Z == 0")
+    """(X/Z, Y/Z); fe_inv raises ZeroInverse for Z == 0."""
     z_inv = fe_inv(pt.Z)
     return AffinePoint(pt.X * z_inv % P, pt.Y * z_inv % P)
 
@@ -95,11 +96,6 @@ def point_double(pt: ExtendedPoint) -> ExtendedPoint:
     G = (A - B) % P
     F = (C + G) % P
     return ExtendedPoint(E * F % P, G * H % P, F * G % P, E * H % P)
-
-
-def point_negate(pt: ExtendedPoint) -> ExtendedPoint:
-    """(x, y) -> (-x, y), i.e. negate the X and T coordinates."""
-    return ExtendedPoint(-pt.X % P, pt.Y, pt.Z, -pt.T % P)
 
 
 def point_equal(p1: ExtendedPoint, p2: ExtendedPoint) -> bool:
@@ -157,19 +153,9 @@ def multi_scalar_mul(terms) -> ExtendedPoint:
 
 
 def scalar_mul_counted(k: int, pt: ExtendedPoint) -> tuple[ExtendedPoint, int, int]:
-    """scalar_mul plus (doubles, adds) counters for the complexity checks.
-
-    The loop shape forces doubles == bit_length(k) - 1 and
-    adds == popcount(k) - 1.
-    """
+    """scalar_mul plus its (doubles, adds) counts, for the complexity checks:
+    its loop doubles once per bit of k below the top one and adds once per
+    set bit among them, so bit_length(k) - 1 doublings, popcount(k) - 1 adds."""
     if k < 1:
         raise ValueError("counted multiplication needs k >= 1")
-    doubles = adds = 0
-    acc = pt
-    for i in range(k.bit_length() - 2, -1, -1):
-        acc = point_double(acc)
-        doubles += 1
-        if (k >> i) & 1:
-            acc = point_add(acc, pt)
-            adds += 1
-    return acc, doubles, adds
+    return scalar_mul(k, pt), k.bit_length() - 1, k.bit_count() - 1

@@ -26,21 +26,6 @@ class BadLength(ValueError):
     """Raised for byte strings of unsupported length."""
 
 
-def fe_add(a: int, b: int) -> int:
-    """(a + b) mod p, canonical."""
-    return (a + b) % P
-
-
-def fe_sub(a: int, b: int) -> int:
-    """(a - b) mod p, canonical."""
-    return (a - b) % P
-
-
-def fe_mul(a: int, b: int) -> int:
-    """(a * b) mod p, canonical."""
-    return a * b % P
-
-
 def fe_inv(a: int) -> int:
     """Multiplicative inverse mod p via Fermat: a^(p-2).
 
@@ -110,31 +95,6 @@ def sc_reduce_wide(data: bytes) -> int:
     return int.from_bytes(data, "big") % Q
 
 
-def bit_length(n: int) -> int:
-    """Position of the highest set bit, 1-based; undefined for n < 1."""
-    if n < 1:
-        raise ValueError("bit_length is undefined for n < 1")
-    return n.bit_length()
-
-
 def encode32(v: int) -> bytes:
     """32-byte big-endian encoding; the one byte order used everywhere."""
     return v.to_bytes(32, "big")
-
-
-def decode32(data: bytes) -> int:
-    if len(data) != 32:
-        raise BadLength(f"expected 32 bytes, got {len(data)}")
-    return int.from_bytes(data, "big")
-
-
-def fe_encode(v: int) -> bytes:
-    return encode32(v)
-
-
-def fe_decode(data: bytes) -> int:
-    """Decode and range-check a canonical field element."""
-    v = decode32(data)
-    if v >= P:
-        raise ValueError("field element out of range")
-    return v

@@ -34,15 +34,15 @@ from typing import Callable, NamedTuple
 
 from .curve import (
     BASE,
-    D,
     ExtendedPoint,
+    check_point,
     multi_scalar_mul,
     point_add,
     point_equal,
     scalar_mul,
     to_affine,
 )
-from .field import P, Q, bit_length, encode32, mod_pow, multi_mod_pow, sc_reduce_wide
+from .field import Q, encode32, mod_pow, multi_mod_pow, sc_reduce_wide
 
 MAX_ATTRIBUTES = 10
 
@@ -79,10 +79,6 @@ class TooManyAttributes(ValueError):
 
 class AttributeOutOfRange(ValueError):
     """Attribute values live in [0, q)."""
-
-
-class MalformedPoint(ValueError):
-    """A credential or key carries coordinates that are not a curve point."""
 
 
 class UnknownScheme(ValueError):
@@ -167,22 +163,6 @@ def point_bytes(pt: ExtendedPoint) -> bytes:
     return encode32(aff.x) + encode32(aff.y)
 
 
-def _check_point(pt: ExtendedPoint) -> ExtendedPoint:
-    """Reject coordinates that are not a consistent on-curve point."""
-    X, Y, Z, T = pt
-    if Z % P == 0:
-        raise MalformedPoint("Z == 0")
-    if (X * Y - T * Z) % P != 0:
-        raise MalformedPoint("T is inconsistent with X, Y, Z")
-    # Projective curve equation: (-X^2 + Y^2) Z^2 == Z^4 + d X^2 Y^2.
-    xx = X * X % P
-    yy = Y * Y % P
-    zz = Z * Z % P
-    if (yy - xx) * zz % P != (zz * zz + D * xx % P * yy) % P:
-        raise MalformedPoint("coordinates are off the curve")
-    return pt
-
-
 def _rand_scalar(rng) -> int:
     try:
         k = rng.randrange(1, Q)
@@ -258,9 +238,9 @@ def ecc_issue(key: EccIssuerKey, attrs, rng=None) -> EccCredential:
 
 def ecc_verify(public: ExtendedPoint, cred: EccCredential) -> bool:
     """Recompute the commitment and check z*B == R + c*Q_pub."""
-    _check_point(public)
-    _check_point(cred.commitment)
-    _check_point(cred.nonce_point)
+    check_point(public)
+    check_point(cred.commitment)
+    check_point(cred.nonce_point)
     try:
         attrs = check_attributes(cred.attributes)
     except ValueError:
@@ -362,7 +342,7 @@ def rsa_keygen(rng=None) -> ModexpIssuerKey:
         if d >= floor:
             break
     key = ModexpIssuerKey(p1=p1, p2=p2, n=n, e=e, d=d)
-    assert bit_length(n) == MODULUS_BITS
+    assert n.bit_length() == MODULUS_BITS
     return key
 
 
@@ -380,7 +360,7 @@ def fdh(attrs, n: int) -> int:
 
     The 8-bit headroom keeps the result below any 1024-bit modulus.
     """
-    if bit_length(n) != MODULUS_BITS:
+    if n.bit_length() != MODULUS_BITS:
         raise ValueError(f"modulus must be exactly {MODULUS_BITS} bits")
     enc = encode_attributes(attrs)
     blocks = b"".join(hashlib.sha256(enc + bytes([i])).digest() for i in range(4))

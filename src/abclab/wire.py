@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass
 
 from . import scheme
-from .curve import AffinePoint, ExtendedPoint, NotOnCurve, from_affine, to_affine
+from .curve import AffinePoint, ExtendedPoint, InvalidPoint, from_affine, to_affine
 from .field import P
 
 log = logging.getLogger(__name__)
@@ -32,8 +32,9 @@ ENVELOPE_TYPES = (
     "ERROR",
 )
 
-# Per read or write on an accepted connection: a peer that stalls mid-request
-# is dropped after this, so it holds up the sequential services no longer.
+# From accept, a peer has this long to send its whole request, however it
+# spaces the bytes, and then the response this long to be sent: a peer that
+# stalls or drips is dropped, so it holds up the sequential services no longer.
 CONNECTION_TIMEOUT_S = 2.0
 
 DEFAULT_ISSUER_PORT = 7001
@@ -168,7 +169,7 @@ def decode_point(doc) -> ExtendedPoint:
     y = _from_hex(doc.get("y"), 64, P)
     try:
         return from_affine(AffinePoint(x, y))
-    except NotOnCurve as exc:
+    except InvalidPoint as exc:
         raise MalformedCredential(str(exc)) from None
 
 
@@ -279,6 +280,23 @@ def _error_envelope(code: str, message: str) -> Envelope:
     return Envelope("ERROR", {"code": code, "message": message})
 
 
+class _RequestReader:
+    """Reads an accepted socket against one deadline for the whole request:
+    each read waits only for the time left, so a peer that drips bytes is
+    dropped CONNECTION_TIMEOUT_S after accept, like one that stalls."""
+
+    def __init__(self, conn: socket.socket):
+        self.conn = conn
+        self.deadline = time.monotonic() + CONNECTION_TIMEOUT_S
+
+    def read(self, n: int) -> bytes:
+        left = self.deadline - time.monotonic()
+        if left <= 0:
+            raise TimeoutError("request deadline passed")
+        self.conn.settimeout(left)
+        return self.conn.recv(n)
+
+
 def _serve(endpoint, handler, stop_event) -> None:
     """Sequential accept loop; one failed client never affects the next."""
     listener = _as_listener(endpoint)
@@ -289,11 +307,10 @@ def _serve(endpoint, handler, stop_event) -> None:
                 conn, _addr = listener.accept()
             except socket.timeout:
                 continue
-            conn.settimeout(CONNECTION_TIMEOUT_S)
             try:
-                with conn, conn.makefile("rwb") as stream:
+                with conn, conn.makefile("wb") as stream:
                     try:
-                        request = frame_read(stream)
+                        request = frame_read(_RequestReader(conn))
                         response = handler(request)
                     except WireError as exc:
                         response = _error_envelope("MALFORMED", str(exc))
@@ -302,6 +319,7 @@ def _serve(endpoint, handler, stop_event) -> None:
                     except Exception as exc:  # never let the loop die
                         log.exception("handler failure")
                         response = _error_envelope("INTERNAL", str(exc))
+                    conn.settimeout(CONNECTION_TIMEOUT_S)
                     frame_write(stream, response)
             except OSError:
                 log.warning("client connection dropped", exc_info=True)
@@ -313,14 +331,15 @@ def _handle_issue(request: Envelope, issuer_keys: dict) -> Envelope:
     if request.type != "ISSUE_REQUEST":
         return _error_envelope("UNSUPPORTED_TYPE", request.type)
     scheme_name = request.payload.get("scheme")
-    if scheme_name not in issuer_keys:
+    try:
+        key = issuer_keys[scheme.lookup(scheme_name).name]
+    except (scheme.UnknownScheme, KeyError):
         return _error_envelope("UNKNOWN_SCHEME", str(scheme_name))
     try:
         attrs = _attrs_from_wire(request.payload.get("attributes"))
         scheme.check_attributes(attrs)
     except (MalformedCredential, ValueError) as exc:
         return _error_envelope("BAD_ATTRIBUTES", str(exc))
-    key = issuer_keys[scheme_name]
     start = time.perf_counter()
     cred = scheme.issue(scheme_name, key, attrs)
     issue_ms = (time.perf_counter() - start) * 1e3
@@ -334,7 +353,9 @@ def _handle_verify(request: Envelope, publics: dict) -> Envelope:
     if request.type != "VERIFY_REQUEST":
         return _error_envelope("UNSUPPORTED_TYPE", request.type)
     scheme_name = request.payload.get("scheme")
-    if scheme_name not in publics:
+    try:
+        public = publics[scheme.lookup(scheme_name).name]
+    except (scheme.UnknownScheme, KeyError):
         return _error_envelope("UNKNOWN_SCHEME", str(scheme_name))
     try:
         wire_scheme, cred = credential_from_wire(request.payload.get("credential"))
@@ -344,8 +365,8 @@ def _handle_verify(request: Envelope, publics: dict) -> Envelope:
         return _error_envelope("MALFORMED", str(exc))
     start = time.perf_counter()
     try:
-        valid = scheme.verify(scheme_name, publics[scheme_name], cred)
-    except scheme.MalformedPoint:
+        valid = scheme.verify(scheme_name, public, cred)
+    except InvalidPoint:
         valid = False
     verify_ms = (time.perf_counter() - start) * 1e3
     return Envelope("VERIFY_RESPONSE", {"valid": valid, "verify_ms": verify_ms})

@@ -1,7 +1,7 @@
 """Independent reference implementations used only to cross-check the package.
 
-Everything here deliberately avoids the production code paths: multiplication
-is schoolbook on 16-bit limbs, inversion is extended Euclid, and curve
+Everything here deliberately avoids the production code paths: inversion is
+extended Euclid, exponentiation is repeated multiplication, and curve
 doubling/addition use the affine division formulas instead of extended
 coordinates.
 """
@@ -9,56 +9,6 @@ coordinates.
 P = 2**255 - 19
 Q = 2**252 + 27742317777372353535851937790883648493
 D = 37095705934669439343138083508754565189542113879843219016388785533085940283555
-
-LIMB_BITS = 16
-LIMB_MASK = (1 << LIMB_BITS) - 1
-
-
-def _to_limbs(n):
-    limbs = []
-    while n:
-        limbs.append(n & LIMB_MASK)
-        n >>= LIMB_BITS
-    return limbs or [0]
-
-
-def _from_limbs(limbs):
-    n = 0
-    for limb in reversed(limbs):
-        n = (n << LIMB_BITS) | limb
-    return n
-
-
-def schoolbook_mul(a, b):
-    """Textbook long multiplication over 16-bit limbs."""
-    xs, ys = _to_limbs(a), _to_limbs(b)
-    acc = [0] * (len(xs) + len(ys))
-    for i, x in enumerate(xs):
-        carry = 0
-        for j, y in enumerate(ys):
-            t = acc[i + j] + x * y + carry
-            acc[i + j] = t & LIMB_MASK
-            carry = t >> LIMB_BITS
-        acc[i + len(ys)] += carry
-    return _from_limbs(acc)
-
-
-def slow_mod(n, m):
-    """Reduction by shifted subtraction; no use of the % operator."""
-    if n < m:
-        return n
-    shifted = m
-    while shifted <= n:
-        shifted <<= 1
-    while n >= m:
-        shifted >>= 1
-        if shifted <= n:
-            n -= shifted
-    return n
-
-
-def schoolbook_mulmod(a, b, m):
-    return slow_mod(schoolbook_mul(a, b), m)
 
 
 def egcd_inverse(a, m):

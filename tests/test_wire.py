@@ -358,6 +358,15 @@ class TestServices:
             client_issue(issuer_ep, "rot13", [1])
         assert err.value.code == "UNKNOWN_SCHEME"
 
+    @pytest.mark.parametrize("tag", [[], {}])
+    def test_unhashable_scheme_tag(self, services, tag):
+        issuer_ep, verifier_ep = services
+        for request in (lambda: client_issue(issuer_ep, tag, [1]),
+                        lambda: client_verify(verifier_ep, tag, {"scheme": "ecc160"})):
+            with pytest.raises(RemoteError) as err:
+                request()
+            assert err.value.code == "UNKNOWN_SCHEME"
+
     def test_too_many_attributes(self, services):
         issuer_ep, _ = services
         with pytest.raises(RemoteError) as err:
@@ -409,6 +418,36 @@ class TestServices:
         assert doc["scheme"] == "ecc160"
         assert waited < wire.CONNECTION_TIMEOUT_S + 3
         assert any("dropped" in r.getMessage() for r in caplog.records)
+
+    def test_dripping_peer_is_dropped(self, services):
+        # One byte every 1.5 s keeps each read within the timeout, while the
+        # whole 10-byte frame would take 13.5 s.
+        issuer_ep, _ = services
+        stop = threading.Event()
+        dripper = socket.create_connection(issuer_ep)
+
+        def drip():
+            for byte in struct.pack("!I", 6) + b"x" * 6:
+                try:
+                    dripper.sendall(bytes([byte]))
+                except OSError:  # the service dropped the connection
+                    return
+                if stop.wait(1.5):
+                    return
+
+        thread = threading.Thread(target=drip, daemon=True)
+        thread.start()
+        try:
+            start = time.perf_counter()
+            doc, _ = client_issue(issuer_ep, "ecc160", [42])
+            waited = time.perf_counter() - start
+        finally:
+            stop.set()
+            thread.join(timeout=3)
+            dripper.close()
+        assert not thread.is_alive()
+        assert doc["scheme"] == "ecc160"
+        assert waited < wire.CONNECTION_TIMEOUT_S + 3
 
     def test_error_reply_on_garbage_frame(self, services):
         issuer_ep, _ = services
