@@ -15,7 +15,6 @@ import random
 import sys
 
 from . import bench, scheme, wire
-from .curve import InvalidPoint
 
 
 class UsageError(Exception):
@@ -115,9 +114,9 @@ def cmd_issue(args) -> int:
 
 def cmd_verify(args) -> int:
     doc = _read_json(args.cred)
-    if not isinstance(doc, dict):
-        raise wire.MalformedCredential("credential must be a JSON object")
-    scheme_name = scheme.lookup(args.scheme or doc.get("scheme")).name
+    scheme_name, cred = wire.credential_from_wire(doc)  # before any connection
+    if args.scheme not in (None, scheme_name):
+        raise UsageError(f"scheme mismatch: --scheme={args.scheme} credential={scheme_name}")
     if args.remote or not args.pub:
         endpoint = _resolve_endpoint(args.remote, wire.VERIFIER_ADDR_ENV,
                                      wire.DEFAULT_VERIFIER_PORT)
@@ -125,15 +124,11 @@ def cmd_verify(args) -> int:
         print(f"remote verification took {round_trip_ms:.2f} ms round trip")
     else:
         pub_name, public = _load_public(args.pub)
-        wire_name, cred = wire.credential_from_wire(doc)
-        if scheme_name not in (pub_name, wire_name) or pub_name != wire_name:
+        if pub_name != scheme_name:
             raise UsageError(
-                f"scheme mismatch: credential={wire_name} public-key={pub_name}"
+                f"scheme mismatch: credential={scheme_name} public-key={pub_name}"
             )
-        try:
-            valid = scheme.verify(scheme_name, public, cred)
-        except InvalidPoint:
-            valid = False
+        valid = scheme.verify(scheme_name, public, cred)  # both decoders checked the points
     print("valid" if valid else "invalid")
     return 0 if valid else 2
 

@@ -2,10 +2,11 @@
 
 Points are held in extended homogeneous coordinates (X:Y:Z:T) with
 x = X/Z, y = Y/Z, xy = T/Z, so addition and doubling need no field
-inversions.  Scalar multiplication is plain left-to-right double-and-add,
-and a sum of several scalar multiples shares one doubling chain
-(interleaved, width 1); no window tables, no signed recoding, and nothing
-here is constant-time.
+inversions; the one inversion, in ``to_affine``, is ``field.fe_inv``.
+Scalar multiplication is plain left-to-right double-and-add, and a sum of
+several scalar multiples shares one doubling chain (interleaved, width 1),
+which also gives the verifier its joint z*B - c*Q_pub; no window tables,
+no signed recoding, and nothing here is constant-time.
 """
 
 from __future__ import annotations
@@ -83,6 +84,12 @@ def point_add(p1: ExtendedPoint, p2: ExtendedPoint) -> ExtendedPoint:
     G = (Dv + C) % P
     H = (B + A) % P
     return ExtendedPoint(E * F % P, G * H % P, F * G % P, E * H % P)
+
+
+def point_negate(pt: ExtendedPoint) -> ExtendedPoint:
+    """-pt: (x, y) -> (-x, y) on a twisted Edwards curve, so X and T flip."""
+    X, Y, Z, T = pt
+    return ExtendedPoint(-X % P, Y, Z, -T % P)
 
 
 def point_double(pt: ExtendedPoint) -> ExtendedPoint:

@@ -1,8 +1,11 @@
 """Modular arithmetic kernel: prime field mod p, scalar ring mod q, big naturals.
 
 Field elements and scalars are plain ints kept in canonical reduced form
-([0, p) resp. [0, q)) at every operation boundary.  All functions are pure
-and safe to call concurrently.
+([0, p) resp. [0, q)) at every operation boundary.  Inversion is extended
+Euclid (``mod_inv``) and exponentiation square-and-multiply (``mod_pow``,
+``multi_mod_pow``), all explicit interpreted loops with no built-in pow
+and no precomputed tables.  All functions are pure and safe to call
+concurrently.
 """
 
 from __future__ import annotations
@@ -26,8 +29,27 @@ class BadLength(ValueError):
     """Raised for byte strings of unsupported length."""
 
 
+def mod_inv(a: int, m: int) -> int:
+    """a^-1 mod m by the extended Euclidean algorithm; ValueError if
+    gcd(a, m) != 1.
+
+    The one inversion routine: the field inverse and the RSA key's secret
+    exponent and CRT coefficient all come from here.  Its loop is the same
+    interpreted big-int arithmetic as mod_pow, and no built-in pow.
+    """
+    old_r, r = a % m, m
+    old_s, s = 1, 0
+    while r:
+        quot = old_r // r
+        old_r, r = r, old_r - quot * r
+        old_s, s = s, old_s - quot * s
+    if old_r != 1:
+        raise ValueError("not invertible")
+    return old_s % m
+
+
 def fe_inv(a: int) -> int:
-    """Multiplicative inverse mod p via Fermat: a^(p-2).
+    """Multiplicative inverse mod p, by mod_inv; ZeroInverse for a == 0 mod p.
 
     Every conversion to affine coordinates pays one: ``to_affine``, and so
     each ``point_bytes`` in the ecc160 challenge (three per issue and three
@@ -35,7 +57,7 @@ def fe_inv(a: int) -> int:
     """
     if a % P == 0:
         raise ZeroInverse("0 has no inverse mod p")
-    return mod_pow(a, P - 2, P)
+    return mod_inv(a, P)
 
 
 def mod_pow(base: int, exp: int, modulus: int) -> int:

@@ -6,7 +6,8 @@
                   attribute-bound representative mod a 1024-bit modulus;
                   the heavyweight baseline.  Both its exponents are
                   full-width so that issuance and verification each pay a
-                  genuine 1024-bit exponentiation, and the representative
+                  genuine full-width exponentiation (the issuer's by CRT,
+                  as two 512-bit halves), and the representative
                   binds every attribute through its own base and a 256-bit
                   exponent, so cost scales with attribute count like the
                   multi-base modexp credential systems it stands in for.
@@ -14,7 +15,8 @@
 Both schemes compute their per-attribute product -- the commitment
 sum(a_i * H_i) and the representative's prod(R_i ^ digest_i) -- as one
 interleaved multi-exponentiation, so the attribute terms share one chain of
-doublings or squarings.
+doublings or squarings.  The ecc160 verifier checks its signature equation
+the same way, as one two-term sum z*B - c*Q_pub.
 
 Each scheme is one ``Scheme`` object in the ``SCHEMES`` registry: its
 protocol functions, its key check and the wire layouts of its documents.
@@ -37,12 +39,12 @@ from .curve import (
     ExtendedPoint,
     check_point,
     multi_scalar_mul,
-    point_add,
     point_equal,
+    point_negate,
     scalar_mul,
     to_affine,
 )
-from .field import Q, encode32, mod_pow, multi_mod_pow, sc_reduce_wide
+from .field import Q, encode32, mod_inv, mod_pow, multi_mod_pow, sc_reduce_wide
 
 MAX_ATTRIBUTES = 10
 
@@ -237,7 +239,13 @@ def ecc_issue(key: EccIssuerKey, attrs, rng=None) -> EccCredential:
 
 
 def ecc_verify(public: ExtendedPoint, cred: EccCredential) -> bool:
-    """Recompute the commitment and check z*B == R + c*Q_pub."""
+    """Recompute the commitment and check z*B == R + c*Q_pub.
+
+    The check is computed as z*B + c*(-Q_pub) == R, one multi-scalar
+    multiplication whose two terms share one doubling chain.  Moving c*Q_pub
+    across is exact in the group, so the verdict is the same for any
+    on-curve inputs, small-order components included.
+    """
     check_point(public)
     check_point(cred.commitment)
     check_point(cred.nonce_point)
@@ -250,9 +258,8 @@ def ecc_verify(public: ExtendedPoint, cred: EccCredential) -> bool:
     if not point_equal(ecc_commit(attrs), cred.commitment):
         return False
     c = _challenge(public, cred.commitment, cred.nonce_point, attrs)
-    lhs = scalar_mul(cred.response, BASE)
-    rhs = point_add(cred.nonce_point, scalar_mul(c, public))
-    return point_equal(lhs, rhs)
+    lhs = multi_scalar_mul([(cred.response, BASE), (c, point_negate(public))])
+    return point_equal(lhs, cred.nonce_point)
 
 
 # ---------------------------------------------------------------------------
@@ -267,18 +274,6 @@ _PRIME_ATTEMPTS = 100_000
 
 _SMALL_PRIMES = [p for p in range(3, 2000)
                  if all(p % d for d in range(2, int(math.isqrt(p)) + 1))]
-
-
-def _modinv(a: int, m: int) -> int:
-    old_r, r = a % m, m
-    old_s, s = 1, 0
-    while r:
-        quot = old_r // r
-        old_r, r = r, old_r - quot * r
-        old_s, s = s, old_s - quot * s
-    if old_r != 1:
-        raise ValueError("not invertible")
-    return old_s % m
 
 
 def _is_probable_prime(n: int, rng, rounds: int = _MR_ROUNDS) -> bool:
@@ -338,7 +333,7 @@ def rsa_keygen(rng=None) -> ModexpIssuerKey:
         e = rng.randrange(floor, lam - 1) | 1
         if math.gcd(e, lam) != 1:
             continue
-        d = _modinv(e, lam)
+        d = mod_inv(e, lam)
         if d >= floor:
             break
     key = ModexpIssuerKey(p1=p1, p2=p2, n=n, e=e, d=d)
@@ -347,7 +342,10 @@ def rsa_keygen(rng=None) -> ModexpIssuerKey:
 
 
 def check_rsa_key(key: ModexpIssuerKey) -> None:
-    """Raise InconsistentKey unless n == p1 * p2 and e * d == 1 mod lcm(p1 - 1, p2 - 1)."""
+    """Raise InconsistentKey unless p1 != p2, n == p1 * p2 and
+    e * d == 1 mod lcm(p1 - 1, p2 - 1), which rsa_issue's CRT relies on."""
+    if key.p1 == key.p2:
+        raise InconsistentKey("p1 == p2")
     if key.n != key.p1 * key.p2:
         raise InconsistentKey("n is not p1 * p2")
     lam = math.lcm(key.p1 - 1, key.p2 - 1)
@@ -397,9 +395,22 @@ def modexp_representative(attrs, n: int) -> int:
 
 
 def rsa_issue(key: ModexpIssuerKey, attrs) -> ModexpCredential:
-    """Deterministic signature: representative raised to the secret exponent."""
+    """Deterministic signature: representative raised to the secret exponent.
+
+    rep^d mod n is computed by the CRT (Quisquater-Couvreur): one half-width
+    exponentiation mod each prime with d reduced mod p - 1, then Garner's
+    recombination.  That equals the full-width rep^d mod n for distinct
+    primes p1, p2 with n == p1 * p2 and e * d == 1 mod lcm(p1 - 1, p2 - 1).
+    rsa_keygen makes such keys, and check_rsa_key checks all but the
+    primality for every loaded key.  Like constant time, a fault-attack
+    check (verifying the signature before returning it) is out of scope.
+    """
     attrs = check_attributes(attrs)
-    sig = mod_pow(modexp_representative(attrs, key.n), key.d, key.n)
+    rep = modexp_representative(attrs, key.n)
+    p1, p2 = key.p1, key.p2
+    sig1 = mod_pow(rep, key.d % (p1 - 1), p1)
+    sig2 = mod_pow(rep, key.d % (p2 - 1), p2)
+    sig = sig2 + (sig1 - sig2) * mod_inv(p2, p1) % p1 * p2
     return ModexpCredential(attrs, sig)
 
 

@@ -413,14 +413,22 @@ def client_issue(endpoint, scheme_name: str, attrs) -> tuple[dict, float]:
     response, round_trip_ms = _exchange(endpoint, request)
     if response.type != "ISSUE_RESPONSE":
         raise MalformedEnvelope(f"expected ISSUE_RESPONSE, got {response.type}")
-    return response.payload["credential"], round_trip_ms
+    credential = response.payload.get("credential")
+    if not isinstance(credential, dict):
+        raise MalformedEnvelope("ISSUE_RESPONSE carries no credential object")
+    return credential, round_trip_ms
 
 
 def client_verify(endpoint, scheme_name: str, wire_credential: dict) -> tuple[bool, float]:
+    """One verification exchange; returns the verdict, which the reply must
+    give as a JSON boolean, and the round-trip wall time in milliseconds."""
     request = Envelope(
         "VERIFY_REQUEST", {"scheme": scheme_name, "credential": wire_credential}
     )
     response, round_trip_ms = _exchange(endpoint, request)
     if response.type != "VERIFY_RESPONSE":
         raise MalformedEnvelope(f"expected VERIFY_RESPONSE, got {response.type}")
-    return bool(response.payload["valid"]), round_trip_ms
+    valid = response.payload.get("valid")
+    if not isinstance(valid, bool):
+        raise MalformedEnvelope(f"VERIFY_RESPONSE valid must be true or false, got {valid!r}")
+    return valid, round_trip_ms

@@ -9,6 +9,10 @@ coordinates.
 P = 2**255 - 19
 Q = 2**252 + 27742317777372353535851937790883648493
 D = 37095705934669439343138083508754565189542113879843219016388785533085940283555
+BASE = (
+    15112221349535400772501151409588531511454012693041857206046113283949847762202,
+    46316835694926478169428394003475163141307993866256225615783033603165251855960,
+)
 
 
 def egcd_inverse(a, m):
@@ -60,3 +64,22 @@ def affine_scalar_mul(k, p1):
     for _ in range(k):
         acc = affine_add(acc, p1)
     return acc
+
+
+def affine_double_and_add(k, p1):
+    """k*p1 by right-to-left double-and-add with the affine formulas."""
+    acc = (0, 1)
+    while k:
+        if k & 1:
+            acc = affine_add(acc, p1)
+        p1 = affine_double(p1)
+        k >>= 1
+    return acc
+
+
+def schnorr_equation_holds(response, challenge, nonce_point, public):
+    """z*B == R + c*Q_pub for affine R and Q_pub, with z*B and c*Q_pub as two
+    separate scalar multiplications."""
+    lhs = affine_double_and_add(response, BASE)
+    rhs = affine_add(nonce_point, affine_double_and_add(challenge, public))
+    return lhs == rhs

@@ -152,6 +152,33 @@ class TestRemote:
         assert run_cli("verify", "--cred", str(cred), "--remote", "127.0.0.1:9") == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("change", [
+        {"response": "zz"},
+        {"commitment": {"x": "0" * 64, "y": "0" * 64}},
+        {"attributes": ["+5"]},
+        {"nonce_point": None},
+    ], ids=["bad-hex", "off-curve", "non-canonical-attribute", "missing-point"])
+    def test_remote_verify_of_malformed_file_exits_1(
+            self, tmp_path, monkeypatch, capsys, ecc_key_file, change):
+        cred = tmp_path / "cred.json"
+        assert run_cli("issue", "--scheme", "ecc160", "--attrs", "5", "--seed", "1",
+                       "--key", str(ecc_key_file), "--out", str(cred)) == 0
+        cred.write_text(json.dumps({**json.loads(cred.read_text()), **change}))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("no connection may be opened")
+
+        monkeypatch.setattr(socket, "create_connection", refuse)
+        assert run_cli("verify", "--cred", str(cred), "--remote", "127.0.0.1:9") == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_issue_reply_without_credential_exits_1(self, tmp_path, fake_service, capsys):
+        endpoint = fake_service(wire.Envelope("ISSUE_RESPONSE", {"issue_ms": 1.0}))
+        assert run_cli("issue", "--scheme", "ecc160", "--attrs", "1",
+                       "--remote", f"{endpoint[0]}:{endpoint[1]}",
+                       "--out", str(tmp_path / "c.json")) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_dead_endpoint_exits_3(self, tmp_path):
         probe = socket.create_server(("127.0.0.1", 0))
         port = probe.getsockname()[1]

@@ -21,6 +21,7 @@ from abclab.curve import (
     point_add,
     point_double,
     point_equal,
+    point_negate,
     scalar_mul,
     scalar_mul_counted,
     to_affine,
@@ -38,6 +39,9 @@ GOLDEN_5B = AffinePoint(
     33467004535436536005251147249499675200073690106659565782908757308821616914995,
     43097193783671926753355113395909008640284023746042808659097434958891230611693,
 )
+
+# The point (0, -1) of order 2: its own negative.
+TORSION_2 = ExtendedPoint(0, P - 1, 1, 0)
 
 
 def random_point(rng):
@@ -192,6 +196,21 @@ class TestPointDouble:
         rng = random.Random(5)
         for _ in range(20):
             assert_valid(point_double(random_point(rng)))
+
+
+class TestPointNegate:
+    def test_sum_with_negative_is_neutral(self):
+        rng = random.Random(0x9E6)
+        for pt in [BASE, NEUTRAL, TORSION_2] + [random_point(rng) for _ in range(10)]:
+            assert point_equal(point_add(pt, point_negate(pt)), NEUTRAL)
+
+    def test_negating_twice_gives_the_point_back(self):
+        rng = random.Random(0x9E7)
+        for pt in [BASE, NEUTRAL, TORSION_2] + [random_point(rng) for _ in range(10)]:
+            assert point_negate(point_negate(pt)) == pt
+
+    def test_matches_order_minus_one_multiple(self):
+        assert point_equal(check_point(point_negate(BASE)), scalar_mul(Q - 1, BASE))
 
 
 class TestPointEqual:

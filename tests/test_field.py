@@ -12,6 +12,7 @@ from abclab.field import (
     ZeroInverse,
     encode32,
     fe_inv,
+    mod_inv,
     mod_pow,
     multi_mod_pow,
     sc_reduce_wide,
@@ -47,6 +48,23 @@ class TestFeInv:
             inv = fe_inv(x)
             assert inv == oracles.egcd_inverse(x, P)
             assert x * inv % P == 1
+
+
+class TestModInv:
+    @given(st.integers(min_value=2, max_value=2**1024), st.integers(min_value=0))
+    def test_matches_builtin_inverse(self, m, a):
+        try:
+            expected = pow(a, -1, m)
+        except ValueError:
+            with pytest.raises(ValueError):
+                mod_inv(a, m)
+        else:
+            assert mod_inv(a, m) == expected
+
+    @pytest.mark.parametrize("a, m", [(0, 7), (14, 7), (6, 9), (2**512, 2**1024), (0, P)])
+    def test_not_invertible(self, a, m):
+        with pytest.raises(ValueError):
+            mod_inv(a, m)
 
 
 class TestModPow:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -6,13 +7,15 @@ from abclab import scheme
 from abclab.curve import (
     BASE,
     NEUTRAL,
+    ExtendedPoint,
     InvalidPoint,
     check_point,
     point_add,
     point_equal,
     scalar_mul,
+    to_affine,
 )
-from abclab.field import P, Q, mod_pow
+from abclab.field import P, Q, mod_inv, mod_pow
 from abclab.scheme import (
     DEFAULT_ATTRIBUTES,
     AttributeOutOfRange,
@@ -31,6 +34,11 @@ from abclab.scheme import (
     rsa_keygen,
     rsa_verify,
 )
+
+import oracles
+
+# The point (0, -1) of order 2.
+TORSION_2 = ExtendedPoint(0, P - 1, 1, 0)
 
 
 @pytest.fixture(scope="module")
@@ -194,6 +202,72 @@ class TestEccIssueVerify:
             ecc_verify(ecc_key.public, bad)
 
 
+def sign_by_hand(secret, public, attrs, k, nonce_point):
+    """An ecc160 credential signed outside ecc_issue, so that the public key
+    and the nonce point in the challenge may carry a torsion component that
+    secret * B and k * B lack."""
+    commitment = ecc_commit(attrs)
+    c = scheme._challenge(public, commitment, nonce_point, attrs)
+    return scheme.EccCredential(tuple(attrs), commitment, nonce_point, (k + c * secret) % Q)
+
+
+class TestEccVerifyEquation:
+    """ecc_verify checks z*B + c*(-Q_pub) == R as one joint multiplication;
+    the oracle checks z*B == R + c*Q_pub with two separate affine ones."""
+
+    @staticmethod
+    def oracle(public, cred):
+        if not point_equal(ecc_commit(cred.attributes), cred.commitment):
+            return False
+        c = scheme._challenge(public, cred.commitment, cred.nonce_point, cred.attributes)
+        return oracles.schnorr_equation_holds(
+            cred.response, c, to_affine(cred.nonce_point), to_affine(public))
+
+    def verdict(self, public, cred):
+        valid = ecc_verify(public, cred)
+        assert valid == self.oracle(public, cred)
+        return valid
+
+    def test_genuine(self, ecc_key):
+        for count in (1, 5, 10):
+            cred = ecc_issue(ecc_key, DEFAULT_ATTRIBUTES[:count], random.Random(count))
+            assert self.verdict(ecc_key.public, cred)
+
+    def test_mutated(self, ecc_key):
+        cred = ecc_issue(ecc_key, DEFAULT_ATTRIBUTES[:3], random.Random(0xD06))
+        for mutant in (
+            dataclasses.replace(cred, response=(cred.response + 1) % Q),
+            dataclasses.replace(cred, response=(cred.response - 1) % Q),
+            dataclasses.replace(cred, nonce_point=point_add(cred.nonce_point, BASE)),
+            dataclasses.replace(cred, attributes=(cred.attributes[0] ^ 1,) + cred.attributes[1:]),
+        ):
+            assert not self.verdict(ecc_key.public, mutant)
+
+    def test_torsion_shifted_nonce_or_public(self, ecc_key):
+        cred = ecc_issue(ecc_key, DEFAULT_ATTRIBUTES[:2], random.Random(0xD07))
+        shifted = dataclasses.replace(cred, nonce_point=point_add(cred.nonce_point, TORSION_2))
+        assert not self.verdict(ecc_key.public, shifted)
+        assert not self.verdict(point_add(ecc_key.public, TORSION_2), cred)
+
+    def test_torsion_signed_into_the_challenge(self, ecc_key):
+        # With Q_pub = x*B + s*T and R = k*B + t*T for the order-2 point T,
+        # z*B == R + c*Q_pub holds exactly when c*s + t is even.
+        rng = random.Random(0xD08)
+        verdicts = set()
+        for s, t in [(1, 0), (0, 1), (1, 1)] * 4:
+            public = point_add(ecc_key.public, TORSION_2) if s else ecc_key.public
+            k = rng.randrange(1, Q)
+            nonce_point = scalar_mul(k, BASE)
+            if t:
+                nonce_point = point_add(nonce_point, TORSION_2)
+            cred = sign_by_hand(ecc_key.secret, public, [rng.randrange(Q)], k, nonce_point)
+            c = scheme._challenge(public, cred.commitment, nonce_point, cred.attributes)
+            valid = self.verdict(public, cred)
+            assert valid == ((c * s + t) % 2 == 0)
+            verdicts.add(valid)
+        assert verdicts == {True, False}
+
+
 class TestRsaKeygen:
     def test_shape(self, rsa_key):
         assert rsa_key.n.bit_length() == 1024
@@ -213,6 +287,15 @@ class TestRsaKeygen:
         k1 = rsa_keygen(random.Random(77))
         k2 = rsa_keygen(random.Random(77))
         assert k1 == k2
+
+
+class TestCheckRsaKey:
+    def test_equal_primes_rejected(self, rsa_key):
+        # Consistent in n and e*d, but the CRT needs two distinct primes.
+        p = rsa_key.p1
+        key = scheme.ModexpIssuerKey(p1=p, p2=p, n=p * p, e=rsa_key.e, d=mod_inv(rsa_key.e, p - 1))
+        with pytest.raises(scheme.InconsistentKey, match="p1 == p2"):
+            scheme.check_rsa_key(key)
 
 
 class TestFdh:
@@ -279,6 +362,24 @@ class TestRsaIssueVerify:
         cred = rsa_issue(rsa_key, [1])
         for sig in (0, rsa_key.n, rsa_key.n + cred.signature):
             assert not rsa_verify(rsa_key.public, scheme.ModexpCredential(cred.attributes, sig))
+
+
+class TestRsaCrtSigning:
+    """rsa_issue signs by CRT; the signature is the full-width rep^d mod n."""
+
+    @pytest.mark.parametrize("seed", [0x45A, 0xC27, 0x5EED])
+    def test_matches_full_width_exponentiation(self, seed):
+        key = rsa_keygen(random.Random(seed))
+        for count in (1, 5, 10):
+            attrs = DEFAULT_ATTRIBUTES[:count]
+            rep = scheme.modexp_representative(attrs, key.n)
+            assert rsa_issue(key, attrs).signature == mod_pow(rep, key.d, key.n)
+
+    @pytest.mark.parametrize("prime", ["p1", "p2"])
+    def test_representative_sharing_a_prime(self, rsa_key, monkeypatch, prime):
+        rep = getattr(rsa_key, prime) * 0xC0FFEE
+        monkeypatch.setattr(scheme, "modexp_representative", lambda attrs, n: rep)
+        assert rsa_issue(rsa_key, [1]).signature == mod_pow(rep, rsa_key.d, rsa_key.n)
 
 
 def mutate_ecc(cred, rng):

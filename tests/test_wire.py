@@ -458,3 +458,22 @@ class TestServices:
                 reply = frame_read(stream)
         assert reply.type == "ERROR"
         assert reply.payload["code"] == "MALFORMED"
+
+
+class TestClientReplies:
+    """The clients accept only replies of the documented shape."""
+
+    @pytest.mark.parametrize("payload", [{"valid": "no"}, {"valid": 1}, {"valid": None}, {}],
+                             ids=["string", "number", "null", "missing"])
+    def test_verdict_must_be_a_json_boolean(self, fake_service, payload):
+        endpoint = fake_service(Envelope("VERIFY_RESPONSE", {**payload, "verify_ms": 1.0}))
+        with pytest.raises(MalformedEnvelope):
+            client_verify(endpoint, "ecc160", {"scheme": "ecc160"})
+
+    @pytest.mark.parametrize("payload", [{}, {"credential": None}, {"credential": "x"},
+                                         {"credential": []}],
+                             ids=["missing", "null", "string", "list"])
+    def test_issue_reply_needs_a_credential_object(self, fake_service, payload):
+        endpoint = fake_service(Envelope("ISSUE_RESPONSE", {**payload, "issue_ms": 1.0}))
+        with pytest.raises(MalformedEnvelope):
+            client_issue(endpoint, "ecc160", [1])
