@@ -1,4 +1,4 @@
-"""Benchmark harness: timed, memory-sampled issuance/verification runs.
+"""Benchmark harness: timed issuance/verification runs with RSS readings.
 
 Reproduces the evaluation grid (schemes x attribute counts x repeated runs)
 and aggregates each cell into min/max/mean plus the share of runs at or
@@ -172,35 +172,39 @@ def _fingerprint(wire_doc: dict) -> str:
 def run_benchmark(config: BenchConfig) -> list[BenchRecord]:
     """Execute the full grid and return two records (issue, verify) per run.
 
-    In-process mode regenerates the issuer key for every run, so only the
-    system parameters and the attribute values stay fixed across runs.
-    Over-wire mode talks to long-lived services, whose keys were fixed at
-    service start; elapsed times are then client-side round trips.
+    Within each attribute count the schemes take turns run by run, so the
+    cells that a ratio row compares are measured in the same stretch of
+    time and host drift cannot favour one scheme.  In-process mode
+    regenerates the issuer key for every run, so only the system parameters
+    and the attribute values stay fixed across runs.  Over-wire mode talks
+    to long-lived services, whose keys were fixed at service start; elapsed
+    times are then client-side round trips.
     """
     rng = random.Random(config.seed) if config.seed is not None else random.SystemRandom()
     records: list[BenchRecord] = []
-    for scheme_name in config.schemes:
-        for attr_count in config.attr_counts:
-            attrs = scheme.DEFAULT_ATTRIBUTES[:attr_count]
-            failures = 0
-            for run_index in range(config.runs):
+    for attr_count in config.attr_counts:
+        attrs = scheme.DEFAULT_ATTRIBUTES[:attr_count]
+        failures = dict.fromkeys(config.schemes, 0)
+        for run_index in range(config.runs):
+            for scheme_name in config.schemes:
+                if failures[scheme_name] >= _CELL_FAILURE_LIMIT:
+                    continue
                 try:
                     result = _one_run(config, scheme_name, attrs, rng)
                 except wire.WireError as exc:
-                    failures += 1
+                    failures[scheme_name] += 1
                     log.warning(
                         "run failed (%s, %d attrs, run %d): %s",
                         scheme_name, attr_count, run_index, exc,
                     )
-                    if failures >= _CELL_FAILURE_LIMIT:
+                    if failures[scheme_name] >= _CELL_FAILURE_LIMIT:
                         log.error(
                             "aborting cell (%s, %d attrs) after %d consecutive "
                             "failures; results for this cell are partial",
-                            scheme_name, attr_count, failures,
+                            scheme_name, attr_count, failures[scheme_name],
                         )
-                        break
                     continue
-                failures = 0
+                failures[scheme_name] = 0
                 (issue_ms, issue_mb), (valid, verify_ms, verify_mb), digest = result
                 records.append(BenchRecord(
                     scheme_name, "issue", attr_count, run_index,

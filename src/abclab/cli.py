@@ -38,12 +38,12 @@ def _resolve_endpoint(flag_value, env_name, default_port):
 
 def _parse_attrs(args) -> tuple[int, ...]:
     if args.attrs is not None:
-        try:
-            values = tuple(int(part, 10) for part in args.attrs.split(","))
-        except ValueError:
-            raise UsageError(f"--attrs must be comma-separated decimals, got {args.attrs!r}")
-    else:
+        values = _parse_int_list(args.attrs, "--attrs")
+    elif 1 <= args.attr_count <= scheme.MAX_ATTRIBUTES:
         values = scheme.DEFAULT_ATTRIBUTES[: args.attr_count]
+    else:
+        raise UsageError(f"--attr-count must be in 1..{scheme.MAX_ATTRIBUTES}, "
+                         f"got {args.attr_count}")
     return scheme.check_attributes(values)
 
 

@@ -3,10 +3,11 @@
 Points are held in extended homogeneous coordinates (X:Y:Z:T) with
 x = X/Z, y = Y/Z, xy = T/Z, so addition and doubling need no field
 inversions; the one inversion, in ``to_affine``, is ``field.fe_inv``.
-Scalar multiplication is plain left-to-right double-and-add, and a sum of
-several scalar multiples shares one doubling chain (interleaved, width 1),
-which also gives the verifier its joint z*B - c*Q_pub; no window tables,
-no signed recoding, and nothing here is constant-time.
+A sum of scalar multiples is one left-to-right double-and-add loop whose
+terms share one doubling chain (``multi_scalar_mul``, interleaved, width 1),
+which also gives the verifier its joint z*B - c*Q_pub; a single scalar
+multiple (``scalar_mul``) is its one-term case.  No window tables, no
+signed recoding, and nothing here is constant-time.
 """
 
 from __future__ import annotations
@@ -114,21 +115,9 @@ def point_equal(p1: ExtendedPoint, p2: ExtendedPoint) -> bool:
 
 
 def scalar_mul(k: int, pt: ExtendedPoint) -> ExtendedPoint:
-    """k*pt by left-to-right double-and-add over the bits of k.
-
-    Extended to k == 0 (neutral) and k == 1 (pt itself), which the binary
-    loop cannot express; k may exceed the group order.
-    """
-    if k < 0:
-        raise ValueError("scalar must be non-negative")
-    if k == 0:
-        return NEUTRAL
-    acc = pt
-    for i in range(k.bit_length() - 2, -1, -1):
-        acc = point_double(acc)
-        if (k >> i) & 1:
-            acc = point_add(acc, pt)
-    return acc
+    """k*pt as the one-term multi_scalar_mul, whose loop and errors it
+    shares: NEUTRAL for k == 0, and k may exceed the group order."""
+    return multi_scalar_mul([(k, pt)])
 
 
 def multi_scalar_mul(terms) -> ExtendedPoint:
@@ -137,9 +126,10 @@ def multi_scalar_mul(terms) -> ExtendedPoint:
 
     All terms share one chain of max(bit_length(k_i)) - 1 doublings, and
     each term adds its point wherever its scalar bit is set, so the sum
-    costs popcount(k_1) + ... + popcount(k_n) - 1 additions.  Zero scalars
-    contribute nothing; an empty or all-zero term list gives the neutral
-    point.
+    costs popcount(k_1) + ... + popcount(k_n) - 1 additions.  The one
+    double-and-add loop of the module: scalar_mul is its one-term case.
+    Zero scalars contribute nothing; an empty or all-zero term list gives
+    the neutral point; ValueError for a negative scalar.
     """
     terms = [(k, pt) for k, pt in terms if k]
     if any(k < 0 for k, _ in terms):
@@ -161,8 +151,8 @@ def multi_scalar_mul(terms) -> ExtendedPoint:
 
 def scalar_mul_counted(k: int, pt: ExtendedPoint) -> tuple[ExtendedPoint, int, int]:
     """scalar_mul plus its (doubles, adds) counts, for the complexity checks:
-    its loop doubles once per bit of k below the top one and adds once per
-    set bit among them, so bit_length(k) - 1 doublings, popcount(k) - 1 adds."""
+    the one-term multi_scalar_mul starts from pt at the top bit of k, so it
+    makes bit_length(k) - 1 doublings and popcount(k) - 1 adds."""
     if k < 1:
         raise ValueError("counted multiplication needs k >= 1")
     return scalar_mul(k, pt), k.bit_length() - 1, k.bit_count() - 1

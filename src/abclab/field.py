@@ -2,10 +2,10 @@
 
 Field elements and scalars are plain ints kept in canonical reduced form
 ([0, p) resp. [0, q)) at every operation boundary.  Inversion is extended
-Euclid (``mod_inv``) and exponentiation square-and-multiply (``mod_pow``,
-``multi_mod_pow``), all explicit interpreted loops with no built-in pow
-and no precomputed tables.  All functions are pure and safe to call
-concurrently.
+Euclid (``mod_inv``) and exponentiation one interleaved square-and-multiply
+loop (``multi_mod_pow``, whose one-term case is ``mod_pow``), both explicit
+interpreted loops with no built-in pow and no precomputed tables.  All
+functions are pure and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -61,23 +61,12 @@ def fe_inv(a: int) -> int:
 
 
 def mod_pow(base: int, exp: int, modulus: int) -> int:
-    """base**exp mod modulus by left-to-right square-and-multiply.
-
-    Deliberately an explicit loop rather than built-in pow(): this is the
-    measured substrate of the modexp baseline scheme, and it must pay the
-    same per-operation interpretation cost as the curve kernel it is
-    benchmarked against.
-    """
-    if modulus < 2:
-        raise BadModulus(f"modulus must be >= 2, got {modulus}")
-    if exp == 0:
-        return 1
-    acc = base % modulus
-    for i in range(exp.bit_length() - 2, -1, -1):
-        acc = acc * acc % modulus
-        if (exp >> i) & 1:
-            acc = acc * base % modulus
-    return acc
+    """base**exp mod modulus as the one-term multi_mod_pow, whose loop and
+    errors it shares: 1 for exp == 0.  Deliberately that explicit loop
+    rather than built-in pow(), so the modexp scheme pays the same
+    per-operation interpretation cost as the curve kernel it is measured
+    against."""
+    return multi_mod_pow([(base, exp)], modulus)
 
 
 def multi_mod_pow(terms, modulus: int) -> int:
@@ -85,10 +74,11 @@ def multi_mod_pow(terms, modulus: int) -> int:
     (Straus, width 1) square-and-multiply.
 
     All terms share one chain of max(bit_length(e_i)) - 1 squarings, and
-    each term multiplies its base in wherever its exponent bit is set.  The
-    same explicit loop as mod_pow, so the modexp scheme stays on the
-    interpreted substrate.  Zero exponents contribute nothing; an empty or
-    all-zero term list gives 1.
+    each term multiplies its base, reduced mod modulus first, in wherever
+    its exponent bit is set.  The one exponentiation loop of the module:
+    mod_pow is its one-term case.  Zero exponents contribute nothing; an
+    empty or all-zero term list gives 1; BadModulus for a modulus < 2 and
+    ValueError for a negative exponent.
     """
     if modulus < 2:
         raise BadModulus(f"modulus must be >= 2, got {modulus}")

@@ -327,16 +327,22 @@ def _serve(endpoint, handler, stop_event) -> None:
         listener.close()
 
 
-def _handle_issue(request: Envelope, issuer_keys: dict) -> Envelope:
-    if request.type != "ISSUE_REQUEST":
+def _dispatch(request: Envelope, expected_type: str, material: dict, handle) -> Envelope:
+    """Check the request type and resolve its scheme tag to this service's
+    key or public key, then answer with handle(scheme_name, item, payload)."""
+    if request.type != expected_type:
         return _error_envelope("UNSUPPORTED_TYPE", request.type)
     scheme_name = request.payload.get("scheme")
     try:
-        key = issuer_keys[scheme.lookup(scheme_name).name]
+        item = material[scheme.lookup(scheme_name).name]
     except (scheme.UnknownScheme, KeyError):
         return _error_envelope("UNKNOWN_SCHEME", str(scheme_name))
+    return handle(scheme_name, item, request.payload)
+
+
+def _handle_issue(scheme_name: str, key, payload: dict) -> Envelope:
     try:
-        attrs = _attrs_from_wire(request.payload.get("attributes"))
+        attrs = _attrs_from_wire(payload.get("attributes"))
         scheme.check_attributes(attrs)
     except (MalformedCredential, ValueError) as exc:
         return _error_envelope("BAD_ATTRIBUTES", str(exc))
@@ -349,16 +355,9 @@ def _handle_issue(request: Envelope, issuer_keys: dict) -> Envelope:
     )
 
 
-def _handle_verify(request: Envelope, publics: dict) -> Envelope:
-    if request.type != "VERIFY_REQUEST":
-        return _error_envelope("UNSUPPORTED_TYPE", request.type)
-    scheme_name = request.payload.get("scheme")
+def _handle_verify(scheme_name: str, public, payload: dict) -> Envelope:
     try:
-        public = publics[scheme.lookup(scheme_name).name]
-    except (scheme.UnknownScheme, KeyError):
-        return _error_envelope("UNKNOWN_SCHEME", str(scheme_name))
-    try:
-        wire_scheme, cred = credential_from_wire(request.payload.get("credential"))
+        wire_scheme, cred = credential_from_wire(payload.get("credential"))
         if wire_scheme != scheme_name:
             raise MalformedCredential("scheme tag mismatch")
     except MalformedCredential as exc:
@@ -374,12 +373,14 @@ def _handle_verify(request: Envelope, publics: dict) -> Envelope:
 
 def issuer_serve(endpoint, issuer_keys: dict, *, stop_event=None) -> None:
     """Serve ISSUE_REQUESTs until stop_event is set (forever if None)."""
-    _serve(endpoint, lambda req: _handle_issue(req, issuer_keys), stop_event)
+    _serve(endpoint, lambda req: _dispatch(req, "ISSUE_REQUEST", issuer_keys, _handle_issue),
+           stop_event)
 
 
 def verifier_serve(endpoint, publics: dict, *, stop_event=None) -> None:
     """Serve VERIFY_REQUESTs until stop_event is set (forever if None)."""
-    _serve(endpoint, lambda req: _handle_verify(req, publics), stop_event)
+    _serve(endpoint, lambda req: _dispatch(req, "VERIFY_REQUEST", publics, _handle_verify),
+           stop_event)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +388,11 @@ def verifier_serve(endpoint, publics: dict, *, stop_event=None) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _exchange(endpoint: tuple[str, int], request: Envelope) -> tuple[Envelope, float]:
+def _exchange(endpoint: tuple[str, int], request: Envelope,
+              expected_type: str) -> tuple[dict, float]:
+    """Send request and read one reply; returns the reply's payload and the
+    request-to-response wall time in milliseconds.  RemoteError for an ERROR
+    reply, MalformedEnvelope for any type other than expected_type."""
     try:
         conn = socket.create_connection(endpoint, timeout=10)
     except OSError as exc:
@@ -401,7 +406,9 @@ def _exchange(endpoint: tuple[str, int], request: Envelope) -> tuple[Envelope, f
         raise RemoteError(
             str(response.payload.get("code")), str(response.payload.get("message"))
         )
-    return response, round_trip_ms
+    if response.type != expected_type:
+        raise MalformedEnvelope(f"expected {expected_type}, got {response.type}")
+    return response.payload, round_trip_ms
 
 
 def client_issue(endpoint, scheme_name: str, attrs) -> tuple[dict, float]:
@@ -410,10 +417,8 @@ def client_issue(endpoint, scheme_name: str, attrs) -> tuple[dict, float]:
     request = Envelope(
         "ISSUE_REQUEST", {"scheme": scheme_name, "attributes": _attrs_to_wire(attrs)}
     )
-    response, round_trip_ms = _exchange(endpoint, request)
-    if response.type != "ISSUE_RESPONSE":
-        raise MalformedEnvelope(f"expected ISSUE_RESPONSE, got {response.type}")
-    credential = response.payload.get("credential")
+    payload, round_trip_ms = _exchange(endpoint, request, "ISSUE_RESPONSE")
+    credential = payload.get("credential")
     if not isinstance(credential, dict):
         raise MalformedEnvelope("ISSUE_RESPONSE carries no credential object")
     return credential, round_trip_ms
@@ -425,10 +430,8 @@ def client_verify(endpoint, scheme_name: str, wire_credential: dict) -> tuple[bo
     request = Envelope(
         "VERIFY_REQUEST", {"scheme": scheme_name, "credential": wire_credential}
     )
-    response, round_trip_ms = _exchange(endpoint, request)
-    if response.type != "VERIFY_RESPONSE":
-        raise MalformedEnvelope(f"expected VERIFY_RESPONSE, got {response.type}")
-    valid = response.payload.get("valid")
+    payload, round_trip_ms = _exchange(endpoint, request, "VERIFY_RESPONSE")
+    valid = payload.get("valid")
     if not isinstance(valid, bool):
         raise MalformedEnvelope(f"VERIFY_RESPONSE valid must be true or false, got {valid!r}")
     return valid, round_trip_ms

@@ -145,6 +145,13 @@ class TestRunBenchmark:
         assert len(records) == 4
         assert {r.scheme for r in records} == {"ecc160", "modexp1024"}
 
+    def test_schemes_take_turns(self):
+        # Ratio rows compare runs made in the same stretch of time.
+        config = BenchConfig(attr_counts=(1,), runs=2, seed=3)
+        records = run_benchmark(config)
+        assert [(r.scheme, r.run_index) for r in records[::2]] == [
+            ("ecc160", 0), ("modexp1024", 0), ("ecc160", 1), ("modexp1024", 1)]
+
     def test_over_wire_mode(self):
         key = scheme.ecc_keygen()
         issuer_sock = socket.create_server(("127.0.0.1", 0))

@@ -95,6 +95,14 @@ class TestIssueVerify:
         assert run_cli("issue", "--scheme", "ecc160", "--attrs", "1,zebra",
                        "--key", str(ecc_key_file), "--out", str(tmp_path / "c.json")) == 1
 
+    @pytest.mark.parametrize("count", ["-1", "0", "11"])
+    def test_attr_count_out_of_range_exits_1(self, tmp_path, ecc_key_file, capsys, count):
+        out = tmp_path / "c.json"
+        assert run_cli("issue", "--scheme", "ecc160", "--attr-count", count,
+                       "--key", str(ecc_key_file), "--out", str(out)) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_missing_key_file_exits_3(self, tmp_path):
         assert run_cli("issue", "--scheme", "ecc160", "--attrs", "1",
                        "--key", str(tmp_path / "missing.json"),

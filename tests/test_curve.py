@@ -314,23 +314,25 @@ class TestScalarMulCounted:
 
 
 def per_term_oracle(terms):
-    """The sum of independent scalar_mul calls."""
-    acc = NEUTRAL
+    """The affine sum of independent affine double-and-add multiplications:
+    scalar_mul is itself the one-term multi_scalar_mul, so it cannot serve."""
+    acc = (0, 1)
     for k, pt in terms:
-        acc = point_add(acc, scalar_mul(k, pt))
+        acc = oracles.affine_add(acc, oracles.affine_double_and_add(k, tuple(to_affine(pt))))
     return acc
 
 
 class TestMultiScalarMul:
-    @settings(max_examples=40, deadline=None)
+    # About 45 ms per affine multiplication: at most 5 terms in 15 examples.
+    @settings(max_examples=15, deadline=None)
     @given(st.lists(
         st.tuples(st.integers(min_value=0, max_value=Q - 1),
                   st.integers(min_value=1, max_value=Q - 1).map(lambda h: scalar_mul(h, BASE))),
-        min_size=1, max_size=10))
+        min_size=1, max_size=5))
     def test_matches_per_term_oracle(self, terms):
         got = multi_scalar_mul(terms)
         assert_valid(got)
-        assert point_equal(got, per_term_oracle(terms))
+        assert tuple(to_affine(got)) == per_term_oracle(terms)
 
     def test_empty_is_neutral(self):
         assert point_equal(multi_scalar_mul([]), NEUTRAL)
@@ -341,11 +343,6 @@ class TestMultiScalarMul:
         assert point_equal(multi_scalar_mul([(0, BASE), (0, pt)]), NEUTRAL)
         assert point_equal(multi_scalar_mul([(0, BASE), (3, pt), (0, pt)]),
                            scalar_mul(15, BASE))
-
-    def test_one_term_is_scalar_mul(self):
-        rng = random.Random(11)
-        for k in (1, 2, 11, 2**40, Q - 1, Q + 5, rng.randrange(Q)):
-            assert multi_scalar_mul([(k, BASE)]) == scalar_mul(k, BASE)
 
     def test_repeated_point(self):
         pt = scalar_mul(7, BASE)
