@@ -20,7 +20,7 @@ import random
 import statistics
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 
 from . import scheme, wire
 
@@ -47,6 +47,10 @@ class EmptyCell(ValueError):
 
 class IoFailure(OSError):
     """A report file could not be written."""
+
+
+class MalformedRecords(ValueError):
+    """A records file is not the document save_records writes."""
 
 
 @dataclass(frozen=True)
@@ -359,6 +363,24 @@ def save_records(path, config: BenchConfig, records: list[BenchRecord]) -> None:
 
 
 def load_records(path) -> list[BenchRecord]:
+    """The records of a save_records file.  MalformedRecords unless it is
+    JSON, an object with a "records" list, and each record an object with
+    every BenchRecord field that has no default and no other field."""
     with open(path, encoding="utf-8") as stream:
-        doc = json.load(stream)
-    return [BenchRecord(**entry) for entry in doc["records"]]
+        try:
+            doc = json.load(stream)
+        except ValueError as exc:
+            raise MalformedRecords(f"{path}: not JSON: {exc}") from exc
+    entries = doc.get("records") if isinstance(doc, dict) else None
+    if not isinstance(entries, list):
+        raise MalformedRecords(f'{path}: expected an object with a "records" list')
+    known = {f.name for f in fields(BenchRecord)}
+    required = {f.name for f in fields(BenchRecord) if f.default is MISSING}
+    for index, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise MalformedRecords(f"{path}: record {index} is not an object")
+        if not required <= entry.keys() <= known:
+            raise MalformedRecords(
+                f"{path}: record {index} lacks fields {sorted(required - entry.keys())}"
+                f" or has unknown fields {sorted(entry.keys() - known)}")
+    return [BenchRecord(**entry) for entry in entries]

@@ -14,9 +14,11 @@
 
 Both schemes compute their per-attribute product -- the commitment
 sum(a_i * H_i) and the representative's prod(R_i ^ digest_i) -- as one
-interleaved multi-exponentiation, so the attribute terms share one chain of
-doublings or squarings.  The ecc160 verifier checks its signature equation
-the same way, as one two-term sum z*B - c*Q_pub.
+multi-exponentiation by Straus's simultaneous method, so the attribute
+terms share one chain of doublings or squarings and each group of up to
+five attributes adds or multiplies at most once per bit position.  The
+ecc160 verifier checks its signature equation the same way, as one
+two-term sum z*B - c*Q_pub.
 
 Each scheme is one ``Scheme`` object in the ``SCHEMES`` registry: its
 protocol functions, its key check and the wire layouts of its documents.

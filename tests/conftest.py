@@ -8,7 +8,23 @@ import pytest
 # Make tests/oracles.py importable from any invocation directory.
 sys.path.insert(0, str(Path(__file__).parent))
 
-from abclab import wire  # noqa: E402
+from abclab import curve, wire  # noqa: E402
+
+
+@pytest.fixture
+def point_op_counts(monkeypatch):
+    """The point_double and point_add calls made through the curve module."""
+    counts = {"double": 0, "add": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(curve, "point_double", counted("double", curve.point_double))
+    monkeypatch.setattr(curve, "point_add", counted("add", curve.point_add))
+    return counts
 
 
 @pytest.fixture

@@ -243,3 +243,34 @@ class TestBenchAndReport:
     def test_bench_bad_flags(self):
         assert run_cli("bench", "--attr-counts", "1,banana") == 1
         assert run_cli("bench", "--runs", "0") == 1
+
+    GOOD_RECORD = {"scheme": "ecc160", "phase": "issue", "attr_count": 1, "run_index": 0,
+                   "elapsed_ms": 1.5, "rss_mb_samples": [20.0], "cred_sha256": "ab"}
+
+    @pytest.mark.parametrize("text", [
+        "{}",
+        "[]",
+        '{"records": "x"}',
+        '{"records": [1]}',
+        json.dumps({"records": [{"scheme": "ecc160", "phase": "issue"}]}),
+        json.dumps({"records": [{**GOOD_RECORD, "heap_peak": 3}]}),
+        "records",
+    ], ids=["no-records-key", "top-level-list", "records-not-a-list", "record-not-an-object",
+            "record-missing-fields", "record-unknown-field", "not-json"])
+    def test_report_on_malformed_records_exits_1(self, tmp_path, capsys, text):
+        records = tmp_path / "records.json"
+        records.write_text(text)
+        with pytest.raises(bench.MalformedRecords):
+            bench.load_records(records)
+        report = tmp_path / "report.csv"
+        assert run_cli("report", "--records", str(records),
+                       "--format", "csv", "--out", str(report)) == 1
+        assert capsys.readouterr().err.startswith(f"error: {records}: ")
+        assert not report.exists()
+
+    def test_report_on_a_good_record_renders(self, tmp_path):
+        records = tmp_path / "records.json"
+        records.write_text(json.dumps({"records": [self.GOOD_RECORD]}))
+        assert bench.load_records(records) == [bench.BenchRecord(**self.GOOD_RECORD)]
+        assert run_cli("report", "--records", str(records), "--format", "csv",
+                       "--out", str(tmp_path / "report.csv")) == 0

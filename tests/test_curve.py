@@ -3,7 +3,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from abclab import curve
 from abclab.curve import (
     BASE,
     BASE_X,
@@ -26,7 +25,7 @@ from abclab.curve import (
     scalar_mul_counted,
     to_affine,
 )
-from abclab.field import ZeroInverse
+from abclab.field import STRAUS_GROUP, ZeroInverse
 
 import oracles
 
@@ -52,22 +51,6 @@ def assert_valid(pt):
     """Every point the module returns keeps Z != 0 and X*Y == T*Z."""
     assert pt.Z % P != 0
     assert (pt.X * pt.Y - pt.T * pt.Z) % P == 0
-
-
-@pytest.fixture
-def point_op_counts(monkeypatch):
-    """The point_double and point_add calls made through the curve module."""
-    counts = {"double": 0, "add": 0}
-
-    def counted(name, fn):
-        def wrapper(*args):
-            counts[name] += 1
-            return fn(*args)
-        return wrapper
-
-    monkeypatch.setattr(curve, "point_double", counted("double", point_double))
-    monkeypatch.setattr(curve, "point_add", counted("add", point_add))
-    return counts
 
 
 class TestIsOnCurve:
@@ -322,14 +305,39 @@ def per_term_oracle(terms):
     return acc
 
 
+def straus_counts(scalars):
+    """(doublings, additions) of multi_scalar_mul by its stated rule: the
+    non-zero scalars form consecutive groups of at most STRAUS_GROUP; each
+    group of g builds 2^g - g - 1 table additions, then adds once per bit
+    position where its column is not zero; the first entry is free."""
+    scalars = [k for k in scalars if k]
+    top = max(k.bit_length() for k in scalars)
+    adds = -1
+    for start in range(0, len(scalars), STRAUS_GROUP):
+        group = scalars[start:start + STRAUS_GROUP]
+        adds += 2 ** len(group) - len(group) - 1
+        adds += sum(1 for i in range(top) if any((k >> i) & 1 for k in group))
+    return top - 1, adds
+
+
 class TestMultiScalarMul:
-    # About 45 ms per affine multiplication: at most 5 terms in 15 examples.
+    # Up to 45 ms per full-width affine multiplication: scalars below 2^128
+    # keep 15 examples of up to 11 terms (three groups) to about 4 s.
     @settings(max_examples=15, deadline=None)
     @given(st.lists(
-        st.tuples(st.integers(min_value=0, max_value=Q - 1),
+        st.tuples(st.integers(min_value=0, max_value=(1 << 128) - 1),
                   st.integers(min_value=1, max_value=Q - 1).map(lambda h: scalar_mul(h, BASE))),
-        min_size=1, max_size=5))
+        min_size=1, max_size=2 * STRAUS_GROUP + 1))
     def test_matches_per_term_oracle(self, terms):
+        got = multi_scalar_mul(terms)
+        assert_valid(got)
+        assert tuple(to_affine(got)) == per_term_oracle(terms)
+
+    def test_three_groups_of_full_width_scalars(self):
+        rng = random.Random(0x57A)
+        terms = [(rng.randrange(Q), random_point(rng)) for _ in range(2 * STRAUS_GROUP + 1)]
+        terms[3] = (terms[3][0], terms[8][1])  # one point in two groups
+        terms.insert(6, (0, BASE))  # dropped before grouping
         got = multi_scalar_mul(terms)
         assert_valid(got)
         assert tuple(to_affine(got)) == per_term_oracle(terms)
@@ -354,8 +362,19 @@ class TestMultiScalarMul:
                 multi_scalar_mul(terms)
 
     def test_shares_one_doubling_chain(self, point_op_counts):
+        # Zero scalars are dropped before grouping, so one is mixed in.
         rng = random.Random(12)
-        scalars = [rng.randrange(1, 1 << rng.randrange(1, 120)) for _ in range(10)]
-        multi_scalar_mul([(k, BASE) for k in scalars])
-        assert point_op_counts["double"] == max(k.bit_length() for k in scalars) - 1
-        assert point_op_counts["add"] == sum(bin(k).count("1") for k in scalars) - 1
+        for count in (1, 2, STRAUS_GROUP, STRAUS_GROUP + 1, 10, 12):
+            scalars = [rng.randrange(1, 1 << rng.randrange(1, 120)) for _ in range(count)]
+            scalars.insert(count // 2, 0)
+            point_op_counts.update(double=0, add=0)
+            multi_scalar_mul([(k, BASE) for k in scalars])
+            assert (point_op_counts["double"], point_op_counts["add"]) == straus_counts(scalars)
+
+    def test_group_of_five_by_hand(self, point_op_counts):
+        # Scalars 8, 6, 1, 4, 9: the columns at bits 3..0 are 0b10001,
+        # 0b01010, 0b00010 and 0b10100, all non-zero, so 3 doublings and
+        # 26 table additions + 4 - 1.
+        got = multi_scalar_mul([(k, BASE) for k in (8, 6, 1, 4, 9)])
+        assert (point_op_counts["double"], point_op_counts["add"]) == (3, 29)
+        assert point_equal(got, scalar_mul(28, BASE))

@@ -1,12 +1,13 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from abclab import field
 from abclab.field import (
     P,
     Q,
+    STRAUS_GROUP,
     BadLength,
     BadModulus,
     ZeroInverse,
@@ -128,18 +129,36 @@ class TestModPow:
 
 
 class TestMultiModPow:
+    # A pool of at most four bases makes repeated bases likely; bases reach
+    # past the modulus, exponents are often 0 or 1 next to 1024-bit ones,
+    # and up to 11 terms fill three groups.
     @given(
-        st.lists(st.tuples(st.integers(min_value=0, max_value=1 << 1100),
-                           st.integers(min_value=0, max_value=1 << 300)),
-                 min_size=1, max_size=10),
-        st.integers(min_value=2, max_value=1 << 1024),
+        st.lists(st.integers(min_value=0, max_value=1 << 1100), min_size=1, max_size=4),
+        st.lists(st.tuples(st.integers(min_value=0, max_value=3),
+                           st.one_of(st.just(0), st.just(1),
+                                     st.integers(min_value=0, max_value=1 << 1024))),
+                 min_size=1, max_size=2 * STRAUS_GROUP + 1),
+        st.one_of(st.just(2), st.integers(min_value=2, max_value=1 << 1024)),
     )
-    def test_matches_product_of_mod_pow(self, terms, m):
+    @example([3, M1024 + 5], [(0, 1), (1, (1 << 1024) - 1)], M1024)
+    @example([7, 2**1100], [(0, 1), (1, 1 << 1023), (0, 0), (1, 5)] * 3, 2)
+    def test_matches_product_of_mod_pow(self, pool, picks, m):
         # Builtin pow is the reference: mod_pow is itself the one-term case.
+        terms = [(pool[i % len(pool)], exp) for i, exp in picks]
         want = 1
         for base, exp in terms:
             want = want * pow(base, exp, m) % m
         assert multi_mod_pow(terms, m) == want
+
+    def test_three_groups_with_shared_bases(self):
+        rng = random.Random(0x5EA)
+        bases = [rng.randrange(M1024) for _ in range(4)]
+        terms = [(bases[i % 4], rng.getrandbits(256)) for i in range(2 * STRAUS_GROUP + 1)]
+        terms.insert(4, (bases[0], 0))  # dropped before grouping
+        want = 1
+        for base, exp in terms:
+            want = want * pow(base, exp, M1024) % M1024
+        assert multi_mod_pow(terms, M1024) == want
 
     def test_empty_is_one(self):
         assert multi_mod_pow([], M1024) == 1

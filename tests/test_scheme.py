@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from abclab import scheme
+from abclab import curve, scheme
 from abclab.curve import (
     BASE,
     NEUTRAL,
@@ -200,6 +200,42 @@ class TestEccIssueVerify:
         )
         with pytest.raises(InvalidPoint):
             ecc_verify(ecc_key.public, bad)
+
+
+class TestEccPointOpCounts:
+    """The doublings and additions of the ecc160 products, pinned: they are
+    the same on every host, and they follow the multi_scalar_mul rule."""
+
+    @pytest.fixture
+    def per_call(self, point_op_counts, monkeypatch):
+        """(doublings, additions) of each multi_scalar_mul the scheme makes."""
+        calls = []
+
+        def counted(terms):
+            point_op_counts.update(double=0, add=0)
+            result = curve.multi_scalar_mul(terms)
+            calls.append((point_op_counts["double"], point_op_counts["add"]))
+            return result
+
+        ecc_commit(DEFAULT_ATTRIBUTES)  # derive and cache the generators first
+        monkeypatch.setattr(scheme, "multi_scalar_mul", counted)
+        return calls
+
+    # Summed popcounts - 1 would be 30, 128 and 309 additions; the groups
+    # of five pay 26 table additions each and save more than that.
+    @pytest.mark.parametrize("count, ops", [(1, (61, 30)), (5, (70, 91)), (10, (108, 202))])
+    def test_commitment_on_fixture_attributes(self, per_call, count, ops):
+        ecc_commit(DEFAULT_ATTRIBUTES[:count])
+        assert per_call == [ops]
+
+    def test_verify_joint_sum(self, ecc_key, per_call):
+        # The commitment, then z*B - c*Q_pub with a 252-bit z and a 251-bit
+        # c: one table addition plus 175 non-zero columns, minus 1, where
+        # summed popcounts - 1 would be 227.
+        cred = ecc_issue(ecc_key, DEFAULT_ATTRIBUTES[:1], random.Random(1))
+        del per_call[:]
+        assert ecc_verify(ecc_key.public, cred)
+        assert per_call == [(61, 30), (251, 175)]
 
 
 def sign_by_hand(secret, public, attrs, k, nonce_point):
