@@ -362,10 +362,33 @@ def save_records(path, config: BenchConfig, records: list[BenchRecord]) -> None:
         raise IoFailure(f"cannot write records to {path}: {exc}") from exc
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# The value a records file may hold in each BenchRecord field.
+_RECORD_VALUE_CHECKS = {
+    "scheme": lambda v: isinstance(v, str),
+    "phase": lambda v: isinstance(v, str),
+    "attr_count": _is_int,
+    "run_index": _is_int,
+    "elapsed_ms": _is_real,
+    "rss_mb_samples": lambda v: isinstance(v, list) and bool(v) and all(map(_is_real, v)),
+    "cred_sha256": lambda v: isinstance(v, str),
+    "valid": lambda v: v is None or isinstance(v, bool),
+}
+
+
 def load_records(path) -> list[BenchRecord]:
     """The records of a save_records file.  MalformedRecords unless it is
     JSON, an object with a "records" list, and each record an object with
-    every BenchRecord field that has no default and no other field."""
+    every BenchRecord field that has no default, no other field, and a value
+    of the field's type: a non-empty list of reals for rss_mb_samples, and
+    null or a bool for valid."""
     with open(path, encoding="utf-8") as stream:
         try:
             doc = json.load(stream)
@@ -383,4 +406,8 @@ def load_records(path) -> list[BenchRecord]:
             raise MalformedRecords(
                 f"{path}: record {index} lacks fields {sorted(required - entry.keys())}"
                 f" or has unknown fields {sorted(entry.keys() - known)}")
+        bad = sorted(name for name, value in entry.items()
+                     if not _RECORD_VALUE_CHECKS[name](value))
+        if bad:
+            raise MalformedRecords(f"{path}: record {index} has ill-typed values in {bad}")
     return [BenchRecord(**entry) for entry in entries]

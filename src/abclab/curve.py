@@ -3,20 +3,19 @@
 Points are held in extended homogeneous coordinates (X:Y:Z:T) with
 x = X/Z, y = Y/Z, xy = T/Z, so addition and doubling need no field
 inversions; the one inversion, in ``to_affine``, is ``field.fe_inv``.
-A sum of scalar multiples is one left-to-right double-and-add loop by
-Straus's simultaneous method (``multi_scalar_mul``), which also gives the
-verifier its joint z*B - c*Q_pub; a single scalar multiple (``scalar_mul``)
-is its one-term case.  Its per-group subset tables come from
-``field.straus_groups`` and are built inside each call: no fixed-base or
-window tables kept across calls, no signed recoding, and nothing here is
-constant-time.
+A sum of scalar multiples (``multi_scalar_mul``), which also gives the
+verifier its joint z*B - c*Q_pub, is the field's one exponentiation loop,
+Straus's simultaneous method, run with point addition and doubling; a
+single scalar multiple (``scalar_mul``) is its one-term case.  No
+fixed-base or window tables are kept across calls, there is no signed
+recoding, and nothing here is constant-time.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .field import P, Q, fe_inv, straus_groups
+from .field import P, Q, fe_inv, straus
 
 # Curve coefficient d; the twist coefficient a is -1 (folded into the
 # formulas below, which only hold for a = -1).
@@ -123,35 +122,13 @@ def scalar_mul(k: int, pt: ExtendedPoint) -> ExtendedPoint:
 
 
 def multi_scalar_mul(terms) -> ExtendedPoint:
-    """sum(k_i * P_i) for (k_i, P_i) in terms, by Straus's simultaneous
-    double-and-add over the groups of ``field.straus_groups``.
-
-    All groups share one chain of max(bit_length(k_i)) - 1 doublings; at
-    each bit position, top bit first, each group adds the table entry its
-    column of scalar bits selects, if that column is not zero.  The first
-    entry starts the sum, so it costs the tables' 2^g - g - 1 additions per
-    group of g terms, plus one per (bit position, group) with a non-zero
-    column, minus 1.  Table building never doubles.  A one-term call is a
-    group of one with no table work: scalar_mul is that case, with
-    popcount(k) - 1 additions.  The one double-and-add loop of the module.
-    Zero scalars contribute nothing; an empty or all-zero term list gives
-    the neutral point; ValueError for a negative scalar.
+    """sum(k_i * P_i) for (k_i, P_i) in terms, by the field's loop with
+    point_add as its combine and point_double as its square, so table
+    building never doubles.  The only user of point_double.  An empty or
+    all-zero term list gives the neutral point.
     """
-    top, groups = straus_groups(terms, point_add)
-    if not groups:
-        return NEUTRAL
-    acc = None
-    for table, columns in groups:
-        if columns[top]:
-            entry = table[columns[top]]
-            acc = entry if acc is None else point_add(acc, entry)
-    for i in range(top - 1, -1, -1):
-        acc = point_double(acc)
-        for table, columns in groups:
-            index = columns[i]
-            if index:
-                acc = point_add(acc, table[index])
-    return acc
+    acc = straus(terms, point_add, point_double)
+    return NEUTRAL if acc is None else acc
 
 
 def scalar_mul_counted(k: int, pt: ExtendedPoint) -> tuple[ExtendedPoint, int, int]:

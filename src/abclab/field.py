@@ -2,12 +2,13 @@
 
 Field elements and scalars are plain ints kept in canonical reduced form
 ([0, p) resp. [0, q)) at every operation boundary.  Inversion is extended
-Euclid (``mod_inv``) and exponentiation one square-and-multiply loop by
-Straus's simultaneous method (``multi_mod_pow``, whose one-term case is
-``mod_pow``), both explicit interpreted loops with no built-in pow.  The
-method's subset tables (``straus_groups``, which the curve's double-and-add
-loop shares) are built inside each call; nothing is kept across calls.  All
-functions are pure and safe to call concurrently.
+Euclid (``mod_inv``).  Exponentiation is the package's one square-and-combine
+loop, ``straus``: Straus's simultaneous method over any group given its
+combine and square.  ``multi_mod_pow`` (whose one-term case is ``mod_pow``)
+runs it mod m, and the curve's ``multi_scalar_mul`` on points.  Both loops
+are explicit interpreted code with no built-in pow, and the subset tables
+are built inside each call; nothing is kept across calls.  All functions
+are pure and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ P = 2**255 - 19
 Q = 2**252 + 27742317777372353535851937790883648493
 
 # Terms per group in Straus's simultaneous method: a group of g terms
-# tabulates its 2^g - 1 subset products once per call, then pays at most one
-# table multiplication (or point addition) per bit position.
+# tabulates its 2^g - 1 subset combinations once per call, then pays at most
+# one table combine per bit position.
 STRAUS_GROUP = 5
 
 
@@ -30,10 +31,6 @@ class ZeroInverse(ZeroDivisionError):
 
 class BadModulus(ValueError):
     """Raised when a modular exponentiation is asked for a modulus < 2."""
-
-
-class BadLength(ValueError):
-    """Raised for byte strings of unsupported length."""
 
 
 def mod_inv(a: int, m: int) -> int:
@@ -76,25 +73,32 @@ def mod_pow(base: int, exp: int, modulus: int) -> int:
     return multi_mod_pow([(base, exp)], modulus)
 
 
-def straus_groups(terms, combine):
-    """The per-call tables of Straus's simultaneous method ("Addition chains
-    of vectors", 1964) for (exponent, element) terms.
+def straus(terms, combine, square):
+    """The combination of each term's element raised to its exponent, for
+    (exponent, element) terms, by Straus's simultaneous method ("Addition
+    chains of vectors", 1964): combine(a, b) is the group operation and
+    square(a) combines a with itself.  None if no term has a non-zero
+    exponent; ValueError for a negative exponent.
 
     Terms with a zero exponent are dropped and the rest split, in order,
-    into groups of at most STRAUS_GROUP.  A group of g elements gets a table
-    whose entry at index s combines the elements picked by the bits of s:
-    each new entry is a smaller subset's entry combined with one element, so
-    the table costs 2^g - g - 1 calls to combine, and entry 0, the empty
-    subset, is None.  Its column list holds, for each bit position i, the
-    index of the subset whose exponents have bit i set.  Returns (top,
-    groups): the highest set bit position of any exponent (-1 if none is
-    left) and the (table, columns) of each group.  ValueError for a
-    negative exponent.
+    into groups of at most STRAUS_GROUP.  A group of g elements tabulates
+    the combination of each subset of its elements, each entry one smaller
+    subset's entry combined with one element, and records for each bit
+    position the subset whose exponents have that bit set.  All groups then
+    share one chain, top bit first: square once per bit position below the
+    top, and combine in each group's non-empty subset at that position.
+    The first selected entry starts the result, so a call costs
+    2^g - g - 1 table combines per group of g, plus one per (bit position,
+    group) whose subset is not empty, minus 1; and max(bit_length) - 1
+    squarings.  A one-term call has no table work: bit_length - 1 squarings
+    and popcount - 1 combines.
     """
     terms = [(exp, elem) for exp, elem in terms if exp]
     if any(exp < 0 for exp, _ in terms):
         raise ValueError("exponents and scalars must be non-negative")
-    top = max((exp.bit_length() for exp, _ in terms), default=0) - 1
+    if not terms:
+        return None
+    top = max(exp.bit_length() for exp, _ in terms) - 1
     groups = []
     for start in range(0, len(terms), STRAUS_GROUP):
         table, columns = [None], [0] * (top + 1)
@@ -105,45 +109,36 @@ def straus_groups(terms, combine):
                 if digit == "1":
                     columns[i] |= 1 << j
         groups.append((table, columns))
-    return top, groups
-
-
-def multi_mod_pow(terms, modulus: int) -> int:
-    """prod(b_i**e_i) mod modulus for (b_i, e_i) in terms, by Straus's
-    simultaneous square-and-multiply over the groups of ``straus_groups``.
-
-    Each base is reduced mod modulus first.  All groups share one chain of
-    max(bit_length(e_i)) - 1 squarings; at each bit position, top bit first,
-    each group multiplies in the table entry its column of exponent bits
-    selects, if that column is not zero.  The loop starts from 1, so the
-    product costs the tables' 2^g - g - 1 multiplications per group of g
-    terms plus one per (bit position, group) with a non-zero column.  A
-    one-term call is a group of one with no table work: mod_pow is that
-    case, with popcount(e) multiplications.  Zero exponents contribute
-    nothing; an empty or all-zero term list gives 1; BadModulus for a
-    modulus < 2 and ValueError for a negative exponent.
-    """
-    if modulus < 2:
-        raise BadModulus(f"modulus must be >= 2, got {modulus}")
-    top, groups = straus_groups(((exp, base % modulus) for base, exp in terms),
-                                lambda a, b: a * b % modulus)
-    acc = 1
+    acc = None
     for table, columns in groups:
         if columns[top]:
-            acc = acc * table[columns[top]] % modulus
+            entry = table[columns[top]]
+            acc = entry if acc is None else combine(acc, entry)
     for i in range(top - 1, -1, -1):
-        acc = acc * acc % modulus
+        acc = square(acc)
         for table, columns in groups:
             index = columns[i]
             if index:
-                acc = acc * table[index] % modulus
+                acc = combine(acc, table[index])
     return acc
 
 
+def multi_mod_pow(terms, modulus: int) -> int:
+    """prod(b_i**e_i) mod modulus for (b_i, e_i) in terms, by ``straus``
+    with one modular multiplication per combine and per square.
+
+    Each base is reduced mod modulus first.  An empty or all-zero term list
+    gives 1; BadModulus for a modulus < 2.
+    """
+    if modulus < 2:
+        raise BadModulus(f"modulus must be >= 2, got {modulus}")
+    acc = straus(((exp, base % modulus) for base, exp in terms),
+                 lambda a, b: a * b % modulus, lambda a: a * a % modulus)
+    return 1 if acc is None else acc
+
+
 def sc_reduce_wide(data: bytes) -> int:
-    """Reduce a 32- or 64-byte big-endian string into the scalar ring [0, q)."""
-    if len(data) not in (32, 64):
-        raise BadLength(f"expected 32 or 64 bytes, got {len(data)}")
+    """Reduce a big-endian SHA-256 digest into the scalar ring [0, q)."""
     return int.from_bytes(data, "big") % Q
 
 

@@ -83,3 +83,35 @@ def schnorr_equation_holds(response, challenge, nonce_point, public):
     lhs = affine_double_and_add(response, BASE)
     rhs = affine_add(nonce_point, affine_double_and_add(challenge, public))
     return lhs == rhs
+
+
+def strong_probable_prime(n, base):
+    """The Miller-Rabin test of odd n > base to one base, by builtin pow."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    x = pow(base, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(r - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+# No composite below 3.18 * 10^23 is a strong probable prime to all of the
+# first twelve primes (Sorenson and Webster, "Strong pseudoprimes to twelve
+# prime bases", 2015).
+PRIME_BASES_TO_37 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime_below_3e23(n):
+    """Deterministic Miller-Rabin for n < 3.18 * 10^23."""
+    if n < 2:
+        return False
+    for p in PRIME_BASES_TO_37:
+        if n % p == 0:
+            return n == p
+    return all(strong_probable_prime(n, a) for a in PRIME_BASES_TO_37)

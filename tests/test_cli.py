@@ -246,6 +246,24 @@ class TestBenchAndReport:
 
     GOOD_RECORD = {"scheme": "ecc160", "phase": "issue", "attr_count": 1, "run_index": 0,
                    "elapsed_ms": 1.5, "rss_mb_samples": [20.0], "cred_sha256": "ab"}
+    # A record with one ill-typed value each.
+    ILL_TYPED = {
+        "scheme-int": {**GOOD_RECORD, "scheme": 1},
+        "phase-null": {**GOOD_RECORD, "phase": None},
+        "cred-sha256-int": {**GOOD_RECORD, "cred_sha256": 5},
+        "attr-count-str": {**GOOD_RECORD, "attr_count": "1"},
+        "attr-count-float": {**GOOD_RECORD, "attr_count": 1.0},
+        "run-index-bool": {**GOOD_RECORD, "run_index": True},
+        "elapsed-ms-str": {**GOOD_RECORD, "elapsed_ms": "x"},
+        "elapsed-ms-null": {**GOOD_RECORD, "elapsed_ms": None},
+        "elapsed-ms-bool": {**GOOD_RECORD, "elapsed_ms": False},
+        "rss-samples-str": {**GOOD_RECORD, "rss_mb_samples": "ab"},
+        "rss-samples-empty": {**GOOD_RECORD, "rss_mb_samples": []},
+        "rss-samples-str-item": {**GOOD_RECORD, "rss_mb_samples": [20.0, "x"]},
+        "rss-samples-number": {**GOOD_RECORD, "rss_mb_samples": 20.0},
+        "valid-str": {**GOOD_RECORD, "valid": "yes"},
+        "valid-int": {**GOOD_RECORD, "valid": 0},
+    }
 
     @pytest.mark.parametrize("text", [
         "{}",
@@ -255,8 +273,10 @@ class TestBenchAndReport:
         json.dumps({"records": [{"scheme": "ecc160", "phase": "issue"}]}),
         json.dumps({"records": [{**GOOD_RECORD, "heap_peak": 3}]}),
         "records",
+        *(json.dumps({"records": [record]}) for record in ILL_TYPED.values()),
     ], ids=["no-records-key", "top-level-list", "records-not-a-list", "record-not-an-object",
-            "record-missing-fields", "record-unknown-field", "not-json"])
+            "record-missing-fields", "record-unknown-field", "not-json",
+            *ILL_TYPED])
     def test_report_on_malformed_records_exits_1(self, tmp_path, capsys, text):
         records = tmp_path / "records.json"
         records.write_text(text)

@@ -306,7 +306,7 @@ def per_term_oracle(terms):
 
 
 def straus_counts(scalars):
-    """(doublings, additions) of multi_scalar_mul by its stated rule: the
+    """(doublings, additions) of multi_scalar_mul by field.straus's rule: the
     non-zero scalars form consecutive groups of at most STRAUS_GROUP; each
     group of g builds 2^g - g - 1 table additions, then adds once per bit
     position where its column is not zero; the first entry is free."""

@@ -1,7 +1,8 @@
-"""Each group states its exponentiation once: field.mod_pow and
-curve.scalar_mul are one-term calls with no loop of their own, and only
-multi_scalar_mul doubles points, so no second double-and-add loop can come
-back elsewhere in the package."""
+"""The package states its exponentiation once, in field.straus: mod_pow,
+scalar_mul, multi_mod_pow and multi_scalar_mul are calls with no loop of
+their own, and only multi_scalar_mul doubles points, so no second
+square-and-multiply or double-and-add loop can come back elsewhere in the
+package."""
 
 import ast
 from pathlib import Path
@@ -20,7 +21,8 @@ def called_name(call):
 
 
 def test_single_term_forms_have_no_loop():
-    for module, name in (("field.py", "mod_pow"), ("curve.py", "scalar_mul")):
+    for module, name in (("field.py", "mod_pow"), ("curve.py", "scalar_mul"),
+                         ("field.py", "multi_mod_pow"), ("curve.py", "multi_scalar_mul")):
         loops = [node for node in ast.walk(top_level_functions(module)[name])
                  if isinstance(node, (ast.For, ast.While))]
         assert not loops, f"{module}:{name} has a loop of its own"

@@ -1,9 +1,10 @@
 import dataclasses
+import math
 import random
 
 import pytest
 
-from abclab import curve, scheme
+from abclab import curve, field, scheme
 from abclab.curve import (
     BASE,
     NEUTRAL,
@@ -236,6 +237,78 @@ class TestEccPointOpCounts:
         del per_call[:]
         assert ecc_verify(ecc_key.public, cred)
         assert per_call == [(61, 30), (251, 175)]
+
+
+class TestModexpMulmodCounts:
+    """The squarings and multiplications of the modexp1024 representative,
+    pinned: they follow the same field.straus rule as the curve sums."""
+
+    @pytest.fixture
+    def per_call(self, monkeypatch):
+        """(squarings, multiplications) of each field.straus call that
+        multi_mod_pow makes, counted through the callables it passes."""
+        calls = []
+        straus = field.straus
+
+        def counted(terms, combine, square):
+            counts = {"square": 0, "mul": 0}
+
+            def mul(a, b):
+                counts["mul"] += 1
+                return combine(a, b)
+
+            def sq(a):
+                counts["square"] += 1
+                return square(a)
+
+            result = straus(terms, mul, sq)
+            calls.append((counts["square"], counts["mul"]))
+            return result
+
+        monkeypatch.setattr(field, "straus", counted)
+        return calls
+
+    # The exponents are the attribute digests, which do not depend on the
+    # modulus; the first is 256 bits wide, so every count makes 255 squarings.
+    @pytest.mark.parametrize("count, ops", [(1, (255, 130)), (5, (255, 275)), (10, (255, 550))])
+    def test_representative_on_fixture_attributes(self, rsa_key, per_call, count, ops):
+        scheme.modexp_representative(DEFAULT_ATTRIBUTES[:count], rsa_key.n)
+        assert per_call == [ops]
+
+
+class TestIsProbablePrime:
+    """Miller-Rabin with seeded random witnesses, after trial division by the
+    primes below 2,000."""
+
+    @staticmethod
+    def past_trial_division(n, factors):
+        """n is the product of primes that all lie above the trial-division
+        bound, so only the Miller-Rabin rounds can reject it."""
+        return math.prod(factors) == n and all(
+            f > 2000 and oracles.is_prime_below_3e23(f) for f in factors)
+
+    def test_rejects_a_carmichael_number(self):
+        n, factors = 65_700_513_721, (2221, 4441, 6661)
+        assert self.past_trial_division(n, factors)
+        # Korselt: p - 1 divides n - 1 for each p, so n fools Fermat's test.
+        assert all((n - 1) % (p - 1) == 0 for p in factors)
+        assert not scheme._is_probable_prime(n, random.Random(0x3A7))
+
+    def test_rejects_a_strong_pseudoprime_to_small_bases(self):
+        n, factors = 3_825_123_056_546_413_051, (149_491, 747_451, 34_233_211)
+        assert self.past_trial_division(n, factors)
+        assert all(oracles.strong_probable_prime(n, a)
+                   for a in oracles.PRIME_BASES_TO_37 if a <= 31)
+        assert not scheme._is_probable_prime(n, random.Random(0x3A7))
+
+    def test_agrees_with_deterministic_oracle(self):
+        rng = random.Random(0x64B)
+        verdicts = []
+        for _ in range(400):
+            n = rng.getrandbits(64) | 1 << 63 | 1
+            verdicts.append(oracles.is_prime_below_3e23(n))
+            assert scheme._is_probable_prime(n, rng) == verdicts[-1], n
+        assert True in verdicts and False in verdicts
 
 
 def sign_by_hand(secret, public, attrs, k, nonce_point):
