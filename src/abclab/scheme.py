@@ -33,7 +33,10 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from array import array
+from bisect import bisect
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, NamedTuple
 
 from .curve import (
@@ -271,22 +274,60 @@ def ecc_verify(public: ExtendedPoint, cred: EccCredential) -> bool:
 MODULUS_BITS = 1024
 PUBLIC_EXPONENT_MIN_BITS = 1000
 _PRIME_BITS = 512
-_MR_ROUNDS = 40
-_PRIME_ATTEMPTS = 100_000
+_PRIME_ATTEMPTS = 100_000   # sieve windows per prime
 
-_SMALL_PRIMES = [p for p in range(3, 2000)
-                 if all(p % d for d in range(2, int(math.isqrt(p)) + 1))]
+_MR_ROUNDS = 40             # Miller-Rabin rounds below _MR_HAC_BITS
+_MR_ROUNDS_HAC = 6          # from _MR_HAC_BITS on: HAC Table 4.4, 450 <= k < 550
+_MR_HAC_BITS = 450
+
+_TRIAL_DIVISION_BOUND = 2000
+_SIEVE_BOUND = 1 << 16
+_SIEVE_WINDOW = 4096        # odd offsets per window
 
 
-def _is_probable_prime(n: int, rng, rounds: int = _MR_ROUNDS) -> bool:
-    """Miller-Rabin with random witnesses."""
+def _odd_primes_below(bound: int) -> array:
+    """The odd primes below bound, by the sieve of Eratosthenes."""
+    odd = bytearray([1]) * (bound // 2)   # odd[j] stands for 2j + 1
+    odd[0] = 0
+    for j in range(1, (math.isqrt(bound) + 1) // 2):
+        if odd[j]:
+            p = 2 * j + 1
+            odd[p * p // 2::p] = bytes(len(range(p * p // 2, bound // 2, p)))
+    return array("H", compress(range(1, bound, 2), odd))
+
+
+_SMALL_PRIMES = _odd_primes_below(_SIEVE_BOUND)
+_TRIAL_PRIMES = _SMALL_PRIMES[:bisect(_SMALL_PRIMES, _TRIAL_DIVISION_BOUND)]
+
+
+def _is_probable_prime(n: int, rng) -> bool:
+    """Trial division by the primes below 2,000, then _miller_rabin."""
     if n < 2:
         return False
-    for p in _SMALL_PRIMES:
-        if n == p:
-            return True
+    if n % 2 == 0:
+        return n == 2
+    for p in _TRIAL_PRIMES:
         if n % p == 0:
-            return False
+            return n == p
+    return _miller_rabin(n, rng)
+
+
+def _miller_rabin(n: int, rng) -> bool:
+    """Miller-Rabin on odd n > 3 with random witnesses.
+
+    The rule: n of 450 bits or more gets 6 rounds, shorter n 40.  On any
+    input, t rounds pass a composite with probability at most 4^-t.  For a
+    random k-bit odd candidate, the average-case bound of Damgard, Landrock
+    and Pomerance ("Average case error estimates for the strong probable
+    prime test", 1993) puts the error of 6 rounds below 2^-80 for
+    450 <= k < 550 (HAC, Menezes et al. 1996, Table 4.4).  Brandt and
+    Damgard ("On generation of probable primes by incremental search",
+    CRYPTO '92) show a comparable bound for candidates from an incremental
+    search, such as _random_prime's.  Below 450 bits the table needs more
+    rounds, so shorter n keeps 40; for a chosen n of 450 bits or more the
+    bound is only 4^-6.
+    """
+    rounds = _MR_ROUNDS_HAC if n.bit_length() >= _MR_HAC_BITS else _MR_ROUNDS
     d = n - 1
     r = 0
     while d % 2 == 0:
@@ -306,18 +347,46 @@ def _is_probable_prime(n: int, rng, rounds: int = _MR_ROUNDS) -> bool:
     return True
 
 
+def _sieve(start: int) -> bytearray:
+    """window[i] is 0 if an odd prime below 2^16 divides start + 2*i, else 1."""
+    window = bytearray([1]) * _SIEVE_WINDOW
+    for p in _SMALL_PRIMES:
+        # start + 2*i == 0 mod p  <=>  i == -start / 2 mod p
+        i = (p - start % p) * (p + 1 >> 1) % p
+        if i < _SIEVE_WINDOW:
+            window[i::p] = bytes(len(range(i, _SIEVE_WINDOW, p)))
+    return window
+
+
 def _random_prime(bits: int, rng) -> int:
-    # Top two bits forced so the product of two such primes always fills
-    # exactly 2*bits.
+    """A bits-bit probable prime with the top two bits set, by incremental
+    search (HAC section 4.4.1).
+
+    Each window starts at a random odd start with the top two bits set, so
+    the product of two such primes always fills exactly 2*bits.  _sieve
+    marks the candidates start + 2*i, 0 <= i < 4096, that an odd prime below
+    2^16 divides; the others get Miller-Rabin in order.  A candidate longer
+    than bits ends the window.
+    """
+    if bits < _SIEVE_BOUND.bit_length():  # every candidate above the sieve primes
+        raise ValueError(f"bits must be at least {_SIEVE_BOUND.bit_length()}")
     for _ in range(_PRIME_ATTEMPTS):
-        cand = rng.getrandbits(bits) | (1 << bits - 1) | (1 << bits - 2) | 1
-        if _is_probable_prime(cand, rng):
-            return cand
-    raise PrimeSearchExhausted(f"no {bits}-bit prime after {_PRIME_ATTEMPTS} draws")
+        start = rng.getrandbits(bits) | (1 << bits - 1) | (1 << bits - 2) | 1
+        for i in compress(range(_SIEVE_WINDOW), _sieve(start)):
+            cand = start + 2 * i
+            if cand.bit_length() > bits:
+                break
+            if _miller_rabin(cand, rng):
+                return cand
+    raise PrimeSearchExhausted(
+        f"no {bits}-bit prime in {_PRIME_ATTEMPTS} windows of {_SIEVE_WINDOW}")
 
 
 def rsa_keygen(rng=None) -> ModexpIssuerKey:
     """1024-bit modulus from two 512-bit probable primes.
+
+    Each prime comes from _random_prime's sieved incremental search with 6
+    Miller-Rabin rounds per candidate (error below 2^-80, see _miller_rabin).
 
     The public exponent is drawn full-width (not a small Fermat number) so
     that verification costs a full modular exponentiation, matching the

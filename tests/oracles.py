@@ -115,3 +115,13 @@ def is_prime_below_3e23(n):
         if n % p == 0:
             return n == p
     return all(strong_probable_prime(n, a) for a in PRIME_BASES_TO_37)
+
+
+def primes_below(bound):
+    """The primes below bound, by a list-based sieve of Eratosthenes."""
+    is_prime = [n >= 2 for n in range(bound)]
+    for p in range(2, bound):
+        if is_prime[p]:
+            for multiple in range(p * p, bound, p):
+                is_prime[multiple] = False
+    return [n for n in range(bound) if is_prime[n]]

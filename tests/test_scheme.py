@@ -311,6 +311,67 @@ class TestIsProbablePrime:
         assert True in verdicts and False in verdicts
 
 
+
+class TestPrimeSearch:
+    """Trial division, the small-prime table and _random_prime's sieve,
+    against the oracles."""
+
+    def test_every_n_below_2000(self):
+        primes = set(oracles.primes_below(2000))
+        for n in range(-2, 2000):
+            assert scheme._is_probable_prime(n, random.Random(n)) == (n in primes), n
+
+    def test_small_prime_tables(self):
+        assert list(scheme._SMALL_PRIMES) == oracles.primes_below(1 << 16)[1:]
+        # TestIsProbablePrime's fixtures get past exactly this trial division.
+        assert list(scheme._TRIAL_PRIMES) == oracles.primes_below(2000)[1:]
+
+    def test_sieve_marks_exactly_the_multiples_of_small_primes(self):
+        primorial = math.prod(oracles.primes_below(1 << 16)[1:])
+        rng = random.Random(0x51E)
+        for start in (rng.getrandbits(64) | 1, (1 << 64) - 1):
+            window = scheme._sieve(start)
+            assert len(window) == 4096
+            assert [math.gcd(start + 2 * i, primorial) == 1 for i in range(4096)] \
+                == [bool(w) for w in window]
+
+    @staticmethod
+    def check_prime(p, bits):
+        assert p.bit_length() == bits and p >> bits - 2 == 3
+        assert oracles.is_prime_below_3e23(p)
+
+    @pytest.mark.parametrize("bits", [24, 32, 64])
+    def test_random_prime(self, bits):
+        rng = random.Random(bits)
+        for _ in range(20):
+            self.check_prime(scheme._random_prime(bits, rng), bits)
+
+    @pytest.mark.parametrize("bits", [24, 32, 64])
+    def test_window_that_overflows(self, bits):
+        class AllOnesStart(random.Random):
+            """The first draw, the first window's start, is all ones; 2^bits - 1
+            is divisible by 3 and every later candidate has bits + 1 bits."""
+            draws = 0
+
+            def getrandbits(self, k):
+                self.draws += 1
+                return (1 << k) - 1 if self.draws == 1 else super().getrandbits(k)
+
+        rng = AllOnesStart(bits)
+        self.check_prime(scheme._random_prime(bits, rng), bits)
+        assert rng.draws > 1
+
+    def test_candidates_above_the_sieve_primes(self):
+        with pytest.raises(ValueError):
+            scheme._random_prime(16, random.Random(16))
+
+    def test_keygen_primes_pass_every_base_to_37(self):
+        key = rsa_keygen(random.Random(0x5EE))
+        for p in (key.p1, key.p2):
+            assert p.bit_length() == 512 and p >> 510 == 3
+            assert all(oracles.strong_probable_prime(p, a) for a in oracles.PRIME_BASES_TO_37)
+
+
 def sign_by_hand(secret, public, attrs, k, nonce_point):
     """An ecc160 credential signed outside ecc_issue, so that the public key
     and the nonce point in the challenge may carry a torsion component that
