@@ -184,11 +184,13 @@ def cmd_bench(args) -> int:
         base["seed"] = args.seed
     if args.out:
         base["out"] = args.out
-    if base.get("mode") == "over-wire":
-        base["issuer_addr"] = _resolve_endpoint(
-            args.issuer, wire.ISSUER_ADDR_ENV, wire.DEFAULT_ISSUER_PORT)
-        base["verifier_addr"] = _resolve_endpoint(
-            args.verifier, wire.VERIFIER_ADDR_ENV, wire.DEFAULT_VERIFIER_PORT)
+    if base.get("mode") == "over-wire":  # flag, then file, then env var, then default
+        if args.issuer or not base.get("issuer_addr"):
+            base["issuer_addr"] = _resolve_endpoint(
+                args.issuer, wire.ISSUER_ADDR_ENV, wire.DEFAULT_ISSUER_PORT)
+        if args.verifier or not base.get("verifier_addr"):
+            base["verifier_addr"] = _resolve_endpoint(
+                args.verifier, wire.VERIFIER_ADDR_ENV, wire.DEFAULT_VERIFIER_PORT)
     try:
         config = bench.BenchConfig.from_dict(base)
     except (TypeError, ValueError) as exc:

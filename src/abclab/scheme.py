@@ -34,7 +34,6 @@ import hashlib
 import math
 import random
 from array import array
-from bisect import bisect
 from dataclasses import dataclass
 from itertools import compress
 from typing import Callable, NamedTuple
@@ -275,12 +274,8 @@ MODULUS_BITS = 1024
 PUBLIC_EXPONENT_MIN_BITS = 1000
 _PRIME_BITS = 512
 _PRIME_ATTEMPTS = 100_000   # sieve windows per prime
+_MR_ROUNDS = 6              # HAC Table 4.4 for random 512-bit candidates
 
-_MR_ROUNDS = 40             # Miller-Rabin rounds below _MR_HAC_BITS
-_MR_ROUNDS_HAC = 6          # from _MR_HAC_BITS on: HAC Table 4.4, 450 <= k < 550
-_MR_HAC_BITS = 450
-
-_TRIAL_DIVISION_BOUND = 2000
 _SIEVE_BOUND = 1 << 16
 _SIEVE_WINDOW = 4096        # odd offsets per window
 
@@ -297,43 +292,25 @@ def _odd_primes_below(bound: int) -> array:
 
 
 _SMALL_PRIMES = _odd_primes_below(_SIEVE_BOUND)
-_TRIAL_PRIMES = _SMALL_PRIMES[:bisect(_SMALL_PRIMES, _TRIAL_DIVISION_BOUND)]
-
-
-def _is_probable_prime(n: int, rng) -> bool:
-    """Trial division by the primes below 2,000, then _miller_rabin."""
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    for p in _TRIAL_PRIMES:
-        if n % p == 0:
-            return n == p
-    return _miller_rabin(n, rng)
 
 
 def _miller_rabin(n: int, rng) -> bool:
-    """Miller-Rabin on odd n > 3 with random witnesses.
+    """Miller-Rabin on odd n > 3 with _MR_ROUNDS random witnesses.
 
-    The rule: n of 450 bits or more gets 6 rounds, shorter n 40.  On any
-    input, t rounds pass a composite with probability at most 4^-t.  For a
-    random k-bit odd candidate, the average-case bound of Damgard, Landrock
-    and Pomerance ("Average case error estimates for the strong probable
-    prime test", 1993) puts the error of 6 rounds below 2^-80 for
-    450 <= k < 550 (HAC, Menezes et al. 1996, Table 4.4).  Brandt and
-    Damgard ("On generation of probable primes by incremental search",
-    CRYPTO '92) show a comparable bound for candidates from an incremental
-    search, such as _random_prime's.  Below 450 bits the table needs more
-    rounds, so shorter n keeps 40; for a chosen n of 450 bits or more the
-    bound is only 4^-6.
+    For a random 512-bit odd candidate, the average-case bound of Damgard,
+    Landrock and Pomerance ("Average case error estimates for the strong
+    probable prime test", 1993) puts the error of 6 rounds below 2^-80
+    (HAC, Menezes et al. 1996, Table 4.4).  Brandt and Damgard ("On
+    generation of probable primes by incremental search", CRYPTO '92) show
+    a comparable bound for candidates from an incremental search, such as
+    _random_prime's.  On a chosen n the bound is only 4^-6.
     """
-    rounds = _MR_ROUNDS_HAC if n.bit_length() >= _MR_HAC_BITS else _MR_ROUNDS
     d = n - 1
     r = 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    for _ in range(rounds):
+    for _ in range(_MR_ROUNDS):
         a = rng.randrange(2, n - 1)
         x = mod_pow(a, d, n)
         if x in (1, n - 1):
@@ -358,19 +335,19 @@ def _sieve(start: int) -> bytearray:
     return window
 
 
-def _random_prime(bits: int, rng) -> int:
-    """A bits-bit probable prime with the top two bits set, by incremental
-    search (HAC section 4.4.1).
+def _random_prime(rng) -> int:
+    """A _PRIME_BITS-bit probable prime with the top two bits set, by
+    incremental search (HAC section 4.4.1).
 
     Each window starts at a random odd start with the top two bits set, so
-    the product of two such primes always fills exactly 2*bits.  _sieve
-    marks the candidates start + 2*i, 0 <= i < 4096, that an odd prime below
-    2^16 divides; the others get Miller-Rabin in order.  A candidate longer
-    than bits ends the window.
+    the product of two such primes always fills exactly MODULUS_BITS.
+    _sieve marks the candidates start + 2*i, 0 <= i < 4096, that an odd
+    prime below 2^16 divides; the others get Miller-Rabin in order.  A
+    candidate longer than _PRIME_BITS ends the window.
     """
-    if bits < _SIEVE_BOUND.bit_length():  # every candidate above the sieve primes
-        raise ValueError(f"bits must be at least {_SIEVE_BOUND.bit_length()}")
+    bits = _PRIME_BITS
     for _ in range(_PRIME_ATTEMPTS):
+        # A marked candidate is a multiple of a sieve prime, never (at 512 bits) the prime.
         start = rng.getrandbits(bits) | (1 << bits - 1) | (1 << bits - 2) | 1
         for i in compress(range(_SIEVE_WINDOW), _sieve(start)):
             cand = start + 2 * i
@@ -393,10 +370,10 @@ def rsa_keygen(rng=None) -> ModexpIssuerKey:
     cost profile of the credential systems this scheme represents.
     """
     rng = rng or _SYSTEM_RNG
-    p1 = _random_prime(_PRIME_BITS, rng)
-    p2 = _random_prime(_PRIME_BITS, rng)
+    p1 = _random_prime(rng)
+    p2 = _random_prime(rng)
     while p2 == p1:  # pragma: no cover - 2^-500 event
-        p2 = _random_prime(_PRIME_BITS, rng)
+        p2 = _random_prime(rng)
     n = p1 * p2
     lam = math.lcm(p1 - 1, p2 - 1)
     floor = 1 << PUBLIC_EXPONENT_MIN_BITS
@@ -408,17 +385,20 @@ def rsa_keygen(rng=None) -> ModexpIssuerKey:
         if d >= floor:
             break
     key = ModexpIssuerKey(p1=p1, p2=p2, n=n, e=e, d=d)
-    assert n.bit_length() == MODULUS_BITS
+    check_rsa_key(key)
     return key
 
 
 def check_rsa_key(key: ModexpIssuerKey) -> None:
-    """Raise InconsistentKey unless p1 != p2, n == p1 * p2 and
-    e * d == 1 mod lcm(p1 - 1, p2 - 1), which rsa_issue's CRT relies on."""
+    """Raise InconsistentKey unless p1 != p2, n == p1 * p2, n has exactly
+    MODULUS_BITS bits and e * d == 1 mod lcm(p1 - 1, p2 - 1), which
+    rsa_issue's CRT and fdh rely on."""
     if key.p1 == key.p2:
         raise InconsistentKey("p1 == p2")
     if key.n != key.p1 * key.p2:
         raise InconsistentKey("n is not p1 * p2")
+    if key.n.bit_length() != MODULUS_BITS:
+        raise InconsistentKey(f"n is not {MODULUS_BITS} bits")
     lam = math.lcm(key.p1 - 1, key.p2 - 1)
     if not lam or key.e * key.d % lam != 1:
         raise InconsistentKey("e * d is not 1 mod lcm(p1 - 1, p2 - 1)")

@@ -231,6 +231,28 @@ class TestBenchAndReport:
         doc = json.loads(records.read_text())
         assert len(doc["records"]) == 4
 
+    def test_bench_endpoints_flag_then_file_then_env_then_default(self, tmp_path, monkeypatch):
+        seen = []
+
+        def stop(config):
+            seen.append((config.issuer_addr[1], config.verifier_addr[1]))
+            raise bench.IoFailure("stopped before any connection")
+
+        monkeypatch.setattr(bench, "run_benchmark", stop)
+        monkeypatch.setenv(wire.ISSUER_ADDR_ENV, "127.0.0.1:7101")
+        monkeypatch.setenv(wire.VERIFIER_ADDR_ENV, "127.0.0.1:7102")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {"mode": "over-wire", "issuer_addr": "127.0.0.1:1", "verifier_addr": "127.0.0.1:2"}))
+        assert run_cli("bench", "--config", str(config)) == 3
+        assert run_cli("bench", "--config", str(config), "--verifier", "127.0.0.1:3") == 3
+        config.write_text(json.dumps({"mode": "over-wire"}))
+        assert run_cli("bench", "--config", str(config)) == 3
+        monkeypatch.delenv(wire.ISSUER_ADDR_ENV)
+        monkeypatch.delenv(wire.VERIFIER_ADDR_ENV)
+        assert run_cli("bench", "--config", str(config)) == 3
+        assert seen == [(1, 2), (1, 3), (7101, 7102), (7001, 7002)]
+
     def test_bench_without_memory_reading_exits_3(self, monkeypatch, capsys):
         def unsupported():
             raise bench.UnsupportedPlatform("no RSS reading available")

@@ -2,7 +2,8 @@
 scalar_mul, multi_mod_pow and multi_scalar_mul are calls with no loop of
 their own, and only multi_scalar_mul doubles points, so no second
 square-and-multiply or double-and-add loop can come back elsewhere in the
-package."""
+package.  Nothing in the package calls the builtin pow, whose C loop would
+give one side a faster substrate than the other."""
 
 import ast
 from pathlib import Path
@@ -38,3 +39,10 @@ def test_only_multi_scalar_mul_doubles():
                         if isinstance(node, ast.Call) and called_name(node) == "point_double"
                         and owner != "multi_scalar_mul"]
     assert not callers, f"point_double called outside multi_scalar_mul: {callers}"
+
+
+def test_no_call_to_pow():
+    calls = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and called_name(node) == "pow"]
+    assert not calls, f"pow called in the package: {calls}"

@@ -1,6 +1,6 @@
-"""Every public top-level function and class in the package has a caller in
-the program: the package itself or the benchmark in perfbench/.  A name that
-only tests reach is code kept alive by its own tests."""
+"""Every top-level function and class in the package, public or private, has
+a caller in the program: the package itself or the benchmark in perfbench/.
+A name that only tests reach is code kept alive by its own tests."""
 
 import ast
 from pathlib import Path
@@ -14,12 +14,11 @@ ALLOWED = {
 }
 
 
-def public_definitions():
-    """(module file name, name) for each public top-level function and class."""
+def definitions():
+    """(module file name, name) for each top-level function and class."""
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 yield path.name, node.name
 
 
@@ -39,10 +38,18 @@ def references():
     return found
 
 
-def test_every_public_name_has_a_program_caller():
-    definitions = list(public_definitions())
+def orphans(private):
     used = references()
-    orphans = [f"{module}:{name}" for module, name in definitions
-               if name not in used and name not in ALLOWED]
-    assert not orphans, f"public names only tests reach: {orphans}"
-    assert set(ALLOWED) <= {name for _, name in definitions}, "stale allow-list entry"
+    return [f"{module}:{name}" for module, name in definitions()
+            if name.startswith("_") == private and name not in used and name not in ALLOWED]
+
+
+def test_every_public_name_has_a_program_caller():
+    found = orphans(private=False)
+    assert not found, f"public names only tests reach: {found}"
+    assert set(ALLOWED) <= {name for _, name in definitions()}, "stale allow-list entry"
+
+
+def test_every_private_name_has_a_program_caller():
+    found = orphans(private=True)
+    assert not found, f"private names only tests reach: {found}"

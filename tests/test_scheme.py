@@ -276,30 +276,28 @@ class TestModexpMulmodCounts:
         assert per_call == [ops]
 
 
-class TestIsProbablePrime:
-    """Miller-Rabin with seeded random witnesses, after trial division by the
-    primes below 2,000."""
+class TestMillerRabin:
+    """_miller_rabin's 6 rounds with seeded random witnesses on odd n > 3."""
 
     @staticmethod
-    def past_trial_division(n, factors):
-        """n is the product of primes that all lie above the trial-division
-        bound, so only the Miller-Rabin rounds can reject it."""
+    def odd_composite(n, factors):
+        """n is the product of the given odd primes: odd, above 3 and composite."""
         return math.prod(factors) == n and all(
-            f > 2000 and oracles.is_prime_below_3e23(f) for f in factors)
+            f > 2 and oracles.is_prime_below_3e23(f) for f in factors)
 
     def test_rejects_a_carmichael_number(self):
         n, factors = 65_700_513_721, (2221, 4441, 6661)
-        assert self.past_trial_division(n, factors)
+        assert self.odd_composite(n, factors)
         # Korselt: p - 1 divides n - 1 for each p, so n fools Fermat's test.
         assert all((n - 1) % (p - 1) == 0 for p in factors)
-        assert not scheme._is_probable_prime(n, random.Random(0x3A7))
+        assert not scheme._miller_rabin(n, random.Random(0x3A7))
 
     def test_rejects_a_strong_pseudoprime_to_small_bases(self):
         n, factors = 3_825_123_056_546_413_051, (149_491, 747_451, 34_233_211)
-        assert self.past_trial_division(n, factors)
+        assert self.odd_composite(n, factors)
         assert all(oracles.strong_probable_prime(n, a)
                    for a in oracles.PRIME_BASES_TO_37 if a <= 31)
-        assert not scheme._is_probable_prime(n, random.Random(0x3A7))
+        assert not scheme._miller_rabin(n, random.Random(0x3A7))
 
     def test_agrees_with_deterministic_oracle(self):
         rng = random.Random(0x64B)
@@ -307,24 +305,16 @@ class TestIsProbablePrime:
         for _ in range(400):
             n = rng.getrandbits(64) | 1 << 63 | 1
             verdicts.append(oracles.is_prime_below_3e23(n))
-            assert scheme._is_probable_prime(n, rng) == verdicts[-1], n
+            assert scheme._miller_rabin(n, rng) == verdicts[-1], n
         assert True in verdicts and False in verdicts
 
 
-
 class TestPrimeSearch:
-    """Trial division, the small-prime table and _random_prime's sieve,
+    """The small-prime table and _random_prime's sieved 512-bit search,
     against the oracles."""
-
-    def test_every_n_below_2000(self):
-        primes = set(oracles.primes_below(2000))
-        for n in range(-2, 2000):
-            assert scheme._is_probable_prime(n, random.Random(n)) == (n in primes), n
 
     def test_small_prime_tables(self):
         assert list(scheme._SMALL_PRIMES) == oracles.primes_below(1 << 16)[1:]
-        # TestIsProbablePrime's fixtures get past exactly this trial division.
-        assert list(scheme._TRIAL_PRIMES) == oracles.primes_below(2000)[1:]
 
     def test_sieve_marks_exactly_the_multiples_of_small_primes(self):
         primorial = math.prod(oracles.primes_below(1 << 16)[1:])
@@ -336,40 +326,37 @@ class TestPrimeSearch:
                 == [bool(w) for w in window]
 
     @staticmethod
-    def check_prime(p, bits):
-        assert p.bit_length() == bits and p >> bits - 2 == 3
-        assert oracles.is_prime_below_3e23(p)
+    def check_prime(p):
+        """512 bits, the top two set, and a strong probable prime to every
+        prime base up to 37."""
+        assert p.bit_length() == 512 and p >> 510 == 3
+        assert all(oracles.strong_probable_prime(p, a) for a in oracles.PRIME_BASES_TO_37)
 
-    @pytest.mark.parametrize("bits", [24, 32, 64])
-    def test_random_prime(self, bits):
-        rng = random.Random(bits)
-        for _ in range(20):
-            self.check_prime(scheme._random_prime(bits, rng), bits)
+    @pytest.mark.parametrize("seed", [24, 32, 64])
+    def test_random_prime(self, seed):
+        rng = random.Random(seed)
+        for _ in range(7):
+            self.check_prime(scheme._random_prime(rng))
 
-    @pytest.mark.parametrize("bits", [24, 32, 64])
-    def test_window_that_overflows(self, bits):
+    @pytest.mark.parametrize("seed", [24, 32, 64])
+    def test_window_that_overflows(self, seed):
         class AllOnesStart(random.Random):
-            """The first draw, the first window's start, is all ones; 2^bits - 1
-            is divisible by 3 and every later candidate has bits + 1 bits."""
+            """The first draw, the first window's start, is all ones; 2^512 - 1
+            is divisible by 3 and every later candidate has 513 bits."""
             draws = 0
 
             def getrandbits(self, k):
                 self.draws += 1
                 return (1 << k) - 1 if self.draws == 1 else super().getrandbits(k)
 
-        rng = AllOnesStart(bits)
-        self.check_prime(scheme._random_prime(bits, rng), bits)
+        rng = AllOnesStart(seed)
+        self.check_prime(scheme._random_prime(rng))
         assert rng.draws > 1
-
-    def test_candidates_above_the_sieve_primes(self):
-        with pytest.raises(ValueError):
-            scheme._random_prime(16, random.Random(16))
 
     def test_keygen_primes_pass_every_base_to_37(self):
         key = rsa_keygen(random.Random(0x5EE))
         for p in (key.p1, key.p2):
-            assert p.bit_length() == 512 and p >> 510 == 3
-            assert all(oracles.strong_probable_prime(p, a) for a in oracles.PRIME_BASES_TO_37)
+            self.check_prime(p)
 
 
 def sign_by_hand(secret, public, attrs, k, nonce_point):

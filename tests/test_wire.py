@@ -247,6 +247,12 @@ class TestKeyCodec:
         with pytest.raises(MalformedCredential, match="inconsistent"):
             key_from_wire(doc)
 
+    def test_modulus_of_the_wrong_width_rejected(self):
+        # Consistent otherwise: n == 3 * 5 and e * d == 1 mod lcm(2, 4).
+        toy = scheme.ModexpIssuerKey(p1=3, p2=5, n=15, e=1, d=1)
+        with pytest.raises(MalformedCredential, match="n is not 1024 bits"):
+            key_from_wire(key_to_wire("modexp1024", toy))
+
     def test_public_round_trip(self, ecc_key, rsa_key):
         name, pub = public_from_wire(public_to_wire("ecc160", ecc_key.public))
         assert name == "ecc160" and point_equal(pub, ecc_key.public)
