@@ -180,7 +180,8 @@ def run_benchmark(config: BenchConfig) -> list[BenchRecord]:
     cells that a ratio row compares are measured in the same stretch of
     time and host drift cannot favour one scheme.  In-process mode
     regenerates the issuer key for every run, so only the system parameters
-    and the attribute values stay fixed across runs.  Over-wire mode talks
+    and the attribute values stay fixed across runs; keygen builds its
+    comb tables, so the phase times exclude them.  Over-wire mode talks
     to long-lived services, whose keys were fixed at service start; elapsed
     times are then client-side round trips.
     """

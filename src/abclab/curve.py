@@ -6,16 +6,16 @@ inversions; the one inversion, in ``to_affine``, is ``field.fe_inv``.
 A sum of scalar multiples (``multi_scalar_mul``), which also gives the
 verifier its joint z*B - c*Q_pub, is the field's one exponentiation loop,
 Straus's simultaneous method, run with point addition and doubling; a
-single scalar multiple (``scalar_mul``) is its one-term case.  No
-fixed-base or window tables are kept across calls, there is no signed
-recoding, and nothing here is constant-time.
+single scalar multiple (``scalar_mul``) is its one-term case.  Callers
+keep the comb tables (``point_comb``) of fixed points; there are no window
+tables, no signed recoding, and nothing here is constant-time.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .field import P, Q, fe_inv, straus
+from .field import P, Q, Comb, comb, fe_inv, straus
 
 # Curve coefficient d; the twist coefficient a is -1 (folded into the
 # formulas below, which only hold for a = -1).
@@ -124,11 +124,16 @@ def scalar_mul(k: int, pt: ExtendedPoint) -> ExtendedPoint:
 def multi_scalar_mul(terms) -> ExtendedPoint:
     """sum(k_i * P_i) for (k_i, P_i) in terms, by the field's loop with
     point_add as its combine and point_double as its square, so table
-    building never doubles.  The only user of point_double.  An empty or
-    all-zero term list gives the neutral point.
+    building never doubles.  The only user of point_double.  P_i may be a
+    point_comb.  An empty or all-zero term list gives the neutral point.
     """
     acc = straus(terms, point_add, point_double)
     return NEUTRAL if acc is None else acc
+
+
+def point_comb(pt: ExtendedPoint) -> Comb:
+    """The comb of pt for scalars below 2^255: five pieces of 51 bits."""
+    return comb(pt, Q.bit_length(), point_add, lambda p, k: scalar_mul(k, p))
 
 
 def scalar_mul_counted(k: int, pt: ExtendedPoint) -> tuple[ExtendedPoint, int, int]:

@@ -18,7 +18,10 @@ multi-exponentiation by Straus's simultaneous method, so the attribute
 terms share one chain of doublings or squarings and each group of up to
 five attributes adds or multiplies at most once per bit position.  The
 ecc160 verifier checks its signature equation the same way, as one
-two-term sum z*B - c*Q_pub.
+two-term sum z*B - c*Q_pub.  Bases fixed before a request that always
+take full-width exponents (B, -Q_pub, each R_i) bring kept comb tables
+(``field.Comb``): B's built at import, and per scheme the latest key's,
+built by keygen, ``Scheme.load_public`` or else the key's first request.
 
 Each scheme is one ``Scheme`` object in the ``SCHEMES`` registry: its
 protocol functions, its key check and the wire layouts of its documents.
@@ -30,6 +33,7 @@ give the benchmark two honest, verifiable cost profiles.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import random
@@ -43,12 +47,13 @@ from .curve import (
     ExtendedPoint,
     check_point,
     multi_scalar_mul,
+    point_comb,
     point_equal,
     point_negate,
-    scalar_mul,
+    scalar_mul,  # not called here; perfbench's traced run wraps it by this name
     to_affine,
 )
-from .field import Q, encode32, mod_inv, mod_pow, multi_mod_pow, sc_reduce_wide
+from .field import Comb, Q, encode32, mod_comb, mod_inv, mod_pow, multi_mod_pow, sc_reduce_wide
 
 MAX_ATTRIBUTES = 10
 
@@ -183,9 +188,16 @@ def _rand_scalar(rng) -> int:
 # ecc160: commitment + Schnorr-style signature
 # ---------------------------------------------------------------------------
 
-_generator_cache: dict[int, ExtendedPoint] = {}
+_B_COMB = point_comb(BASE)
 
 
+@functools.lru_cache(maxsize=1)  # kept for the latest ecc160 key only
+def ecc_comb(public: ExtendedPoint) -> Comb:
+    """The comb of -public, for ecc_verify."""
+    return point_comb(point_negate(public))
+
+
+@functools.cache
 def derive_generator(i: int) -> ExtendedPoint:
     """Per-attribute commitment base H_i = h_i * B, h_i from a tagged hash.
 
@@ -194,21 +206,21 @@ def derive_generator(i: int) -> ExtendedPoint:
     """
     if not 0 <= i < MAX_ATTRIBUTES:
         raise IndexError(f"generator index {i} out of range 0..{MAX_ATTRIBUTES - 1}")
-    if i not in _generator_cache:
-        h = sc_reduce_wide(hashlib.sha256(_TAG_GENERATOR + bytes([i])).digest())
-        _generator_cache[i] = scalar_mul(h, BASE)
-    return _generator_cache[i]
+    h = sc_reduce_wide(hashlib.sha256(_TAG_GENERATOR + bytes([i])).digest())
+    return multi_scalar_mul([(h, _B_COMB)])
 
 
 def ecc_keygen(rng=None) -> EccIssuerKey:
     rng = rng or _SYSTEM_RNG
     x = _rand_scalar(rng)
-    return EccIssuerKey(secret=x, public=scalar_mul(x, BASE))
+    key = EccIssuerKey(secret=x, public=multi_scalar_mul([(x, _B_COMB)]))
+    ecc_comb(key.public)
+    return key
 
 
 def check_ecc_key(key: EccIssuerKey) -> None:
     """Raise InconsistentKey unless public == secret * B."""
-    if not point_equal(key.public, scalar_mul(key.secret, BASE)):
+    if not point_equal(key.public, multi_scalar_mul([(key.secret, _B_COMB)])):
         raise InconsistentKey("public is not secret * B")
 
 
@@ -236,7 +248,7 @@ def ecc_issue(key: EccIssuerKey, attrs, rng=None) -> EccCredential:
     attrs = check_attributes(attrs)
     commitment = ecc_commit(attrs)
     k = _rand_scalar(rng)
-    nonce_point = scalar_mul(k, BASE)
+    nonce_point = multi_scalar_mul([(k, _B_COMB)])
     c = _challenge(key.public, commitment, nonce_point, attrs)
     z = (k + c * key.secret) % Q
     return EccCredential(attrs, commitment, nonce_point, z)
@@ -262,7 +274,7 @@ def ecc_verify(public: ExtendedPoint, cred: EccCredential) -> bool:
     if not point_equal(ecc_commit(attrs), cred.commitment):
         return False
     c = _challenge(public, cred.commitment, cred.nonce_point, attrs)
-    lhs = multi_scalar_mul([(cred.response, BASE), (c, point_negate(public))])
+    lhs = multi_scalar_mul([(cred.response, _B_COMB), (c, ecc_comb(public))])
     return point_equal(lhs, cred.nonce_point)
 
 
@@ -386,7 +398,14 @@ def rsa_keygen(rng=None) -> ModexpIssuerKey:
             break
     key = ModexpIssuerKey(p1=p1, p2=p2, n=n, e=e, d=d)
     check_rsa_key(key)
+    rsa_combs(n)
     return key
+
+
+def check_modulus(n: int) -> None:
+    """Raise InconsistentKey unless n has exactly MODULUS_BITS bits."""
+    if n.bit_length() != MODULUS_BITS:
+        raise InconsistentKey(f"n is not {MODULUS_BITS} bits")
 
 
 def check_rsa_key(key: ModexpIssuerKey) -> None:
@@ -397,8 +416,7 @@ def check_rsa_key(key: ModexpIssuerKey) -> None:
         raise InconsistentKey("p1 == p2")
     if key.n != key.p1 * key.p2:
         raise InconsistentKey("n is not p1 * p2")
-    if key.n.bit_length() != MODULUS_BITS:
-        raise InconsistentKey(f"n is not {MODULUS_BITS} bits")
+    check_modulus(key.n)
     lam = math.lcm(key.p1 - 1, key.p2 - 1)
     if not lam or key.e * key.d % lam != 1:
         raise InconsistentKey("e * d is not 1 mod lcm(p1 - 1, p2 - 1)")
@@ -409,8 +427,7 @@ def fdh(attrs, n: int) -> int:
 
     The 8-bit headroom keeps the result below any 1024-bit modulus.
     """
-    if n.bit_length() != MODULUS_BITS:
-        raise ValueError(f"modulus must be exactly {MODULUS_BITS} bits")
+    check_modulus(n)
     enc = encode_attributes(attrs)
     blocks = b"".join(hashlib.sha256(enc + bytes([i])).digest() for i in range(4))
     return int.from_bytes(blocks[:127], "big")
@@ -433,6 +450,13 @@ def _attr_digest(i: int, value: int) -> int:
     )
 
 
+@functools.lru_cache(maxsize=1)  # kept for the latest modexp1024 key only
+def rsa_combs(n: int) -> tuple[Comb, ...]:
+    """The comb of each R_i of n; InconsistentKey unless n has MODULUS_BITS bits."""
+    check_modulus(n)
+    return tuple(mod_comb(derive_modexp_base(n, i), 256, n) for i in range(MAX_ATTRIBUTES))
+
+
 def modexp_representative(attrs, n: int) -> int:
     """fdh(attrs) * prod(R_i ^ digest(a_i)) mod n: the signed quantity.
 
@@ -441,7 +465,8 @@ def modexp_representative(attrs, n: int) -> int:
     count.
     """
     attrs = check_attributes(attrs)
-    terms = [(derive_modexp_base(n, i), _attr_digest(i, a)) for i, a in enumerate(attrs)]
+    combs = rsa_combs(n)
+    terms = [(combs[i], _attr_digest(i, a)) for i, a in enumerate(attrs)]
     return fdh(attrs, n) * multi_mod_pow(terms, n) % n
 
 
@@ -504,13 +529,14 @@ class Scheme:
     issue: Callable       # (key, attrs, rng) -> credential
     verify: Callable      # (public part of the key, credential) -> bool
     check_key: Callable   # (key) -> None; raises InconsistentKey
+    load_public: Callable  # (public part) -> its kept combs; raises InconsistentKey
     credential: Layout    # every credential also carries its attributes
     public: Layout
     key: Layout
 
 
 ECC160 = Scheme(
-    "ecc160", ecc_keygen, ecc_issue, ecc_verify, check_ecc_key,
+    "ecc160", ecc_keygen, ecc_issue, ecc_verify, check_ecc_key, ecc_comb,
     credential=Layout(
         {"commitment": POINT, "nonce_point": POINT, "response": Hex(64, Q)}, EccCredential),
     public=Layout({"public": POINT}),
@@ -520,7 +546,7 @@ ECC160 = Scheme(
 MODEXP1024 = Scheme(
     "modexp1024", rsa_keygen,
     lambda key, attrs, rng=None: rsa_issue(key, attrs),  # deterministic: draws no rng
-    rsa_verify, check_rsa_key,
+    rsa_verify, check_rsa_key, lambda public: rsa_combs(public.n),
     credential=Layout({"signature": Hex(256)}, ModexpCredential),
     public=Layout({"n": Hex(256), "e": Hex(256)}, ModexpPublic),
     key=Layout({"p1": Hex(128), "p2": Hex(128), "n": Hex(256), "e": Hex(256),

@@ -239,8 +239,14 @@ def public_to_wire(scheme_name: str, public) -> dict:
 
 
 def public_from_wire(doc):
+    """Decode a public key, check it and keep its comb tables."""
     found = _scheme_of(doc, "public key")
-    return found.name, _layout_from_wire(found.public, doc)
+    public = _layout_from_wire(found.public, doc)
+    try:
+        found.load_public(public)
+    except scheme.InconsistentKey as exc:
+        raise MalformedCredential(f"inconsistent {found.name} public key: {exc}") from None
+    return found.name, public
 
 
 def key_to_wire(scheme_name: str, key) -> dict:
@@ -248,11 +254,13 @@ def key_to_wire(scheme_name: str, key) -> dict:
 
 
 def key_from_wire(doc):
-    """Decode an issuer key and check that its fields belong together."""
+    """Decode an issuer key, check that its fields belong together and keep
+    its comb tables."""
     found = _scheme_of(doc, "key")
     key = _layout_from_wire(found.key, doc)
     try:
         found.check_key(key)
+        found.load_public(key.public)
     except scheme.InconsistentKey as exc:
         raise MalformedCredential(f"inconsistent {found.name} key: {exc}") from None
     return found.name, key

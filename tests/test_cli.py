@@ -77,6 +77,15 @@ class TestIssueVerify:
         assert run_cli("verify", "--cred", str(cred), "--pub", str(pub)) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_pub_file_with_a_toy_modulus_exits_1(self, tmp_path, capsys):
+        cred = tmp_path / "cred.json"
+        cred.write_text(json.dumps({"scheme": "modexp1024", "attributes": ["5"],
+                                    "signature": format(1, "0256x")}))
+        pub = tmp_path / "pub.json"
+        pub.write_text(json.dumps(wire.public_to_wire("modexp1024", scheme.ModexpPublic(15, 1))))
+        assert run_cli("verify", "--cred", str(cred), "--pub", str(pub)) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_cred_file_holding_a_list_exits_1(self, tmp_path, ecc_key_file, capsys):
         cred = tmp_path / "cred.json"
         cred.write_text("[]")

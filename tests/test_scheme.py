@@ -205,46 +205,76 @@ class TestEccIssueVerify:
 
 class TestEccPointOpCounts:
     """The doublings and additions of the ecc160 products, pinned: they are
-    the same on every host, and they follow the multi_scalar_mul rule."""
+    the same on every host, and they follow the multi_scalar_mul rule.  The
+    key comes from keygen, which builds its comb tables, and every point
+    operation of a request falls inside the pinned calls, so no request
+    builds a table."""
 
     @pytest.fixture
-    def per_call(self, point_op_counts, monkeypatch):
-        """(doublings, additions) of each multi_scalar_mul the scheme makes."""
+    def key(self):
+        scheme.ecc_comb.cache_clear()  # so only keygen can have built the combs
+        return ecc_keygen(random.Random(0xECC))
+
+    @pytest.fixture
+    def per_call(self, key, point_op_counts, monkeypatch):
+        """(doublings, additions) of each multi_scalar_mul the scheme makes;
+        point_op_counts then holds the request's totals."""
         calls = []
 
         def counted(terms):
-            point_op_counts.update(double=0, add=0)
+            before = point_op_counts["double"], point_op_counts["add"]
             result = curve.multi_scalar_mul(terms)
-            calls.append((point_op_counts["double"], point_op_counts["add"]))
+            calls.append((point_op_counts["double"] - before[0],
+                          point_op_counts["add"] - before[1]))
             return result
 
         ecc_commit(DEFAULT_ATTRIBUTES)  # derive and cache the generators first
+        point_op_counts.update(double=0, add=0)
         monkeypatch.setattr(scheme, "multi_scalar_mul", counted)
         return calls
+
+    @staticmethod
+    def assert_pinned(calls, point_op_counts, pins):
+        assert calls == pins
+        assert (point_op_counts["double"], point_op_counts["add"]) == tuple(map(sum, zip(*pins)))
 
     # Summed popcounts - 1 would be 30, 128 and 309 additions; the groups
     # of five pay 26 table additions each and save more than that.
     @pytest.mark.parametrize("count, ops", [(1, (61, 30)), (5, (70, 91)), (10, (108, 202))])
-    def test_commitment_on_fixture_attributes(self, per_call, count, ops):
+    def test_commitment_on_fixture_attributes(self, per_call, point_op_counts, count, ops):
         ecc_commit(DEFAULT_ATTRIBUTES[:count])
-        assert per_call == [ops]
+        self.assert_pinned(per_call, point_op_counts, [ops])
 
-    def test_verify_joint_sum(self, ecc_key, per_call):
-        # The commitment, then z*B - c*Q_pub with a 252-bit z and a 251-bit
-        # c: one table addition plus 175 non-zero columns, minus 1, where
-        # summed popcounts - 1 would be 227.
-        cred = ecc_issue(ecc_key, DEFAULT_ATTRIBUTES[:1], random.Random(1))
+    def test_issue_nonce(self, key, per_call, point_op_counts):
+        # The commitment, then k*B on B's comb: k is five 51-bit pieces, so
+        # 50 doublings, and 50 of the 51 columns are non-empty, minus 1.
+        ecc_issue(key, DEFAULT_ATTRIBUTES[:1], random.Random(1))
+        self.assert_pinned(per_call, point_op_counts, [(61, 30), (50, 49)])
+
+    def test_verify_joint_sum(self, key, per_call, point_op_counts):
+        # The commitment, then z*B - c*Q_pub on the combs of B and -Q_pub:
+        # two groups of five 51-bit pieces, so 50 doublings, and 95 of the
+        # 102 columns are non-empty, minus 1.
+        cred = ecc_issue(key, DEFAULT_ATTRIBUTES[:1], random.Random(1))
         del per_call[:]
-        assert ecc_verify(ecc_key.public, cred)
-        assert per_call == [(61, 30), (251, 175)]
+        point_op_counts.update(double=0, add=0)
+        assert ecc_verify(key.public, cred)
+        self.assert_pinned(per_call, point_op_counts, [(61, 30), (50, 94)])
 
 
 class TestModexpMulmodCounts:
     """The squarings and multiplications of the modexp1024 representative,
-    pinned: they follow the same field.straus rule as the curve sums."""
+    pinned: they follow the same field.straus rule as the curve sums.  The
+    key comes from keygen, which builds the R_i combs, and a table built
+    in the request would add straus calls, so none is."""
 
     @pytest.fixture
-    def per_call(self, monkeypatch):
+    def n(self):
+        scheme.rsa_combs.cache_clear()  # so only keygen can have built the combs
+        return rsa_keygen(random.Random(0x45A)).n
+
+    @pytest.fixture
+    def per_call(self, n, monkeypatch):
         """(squarings, multiplications) of each field.straus call that
         multi_mod_pow makes, counted through the callables it passes."""
         calls = []
@@ -269,11 +299,86 @@ class TestModexpMulmodCounts:
         return calls
 
     # The exponents are the attribute digests, which do not depend on the
-    # modulus; the first is 256 bits wide, so every count makes 255 squarings.
-    @pytest.mark.parametrize("count, ops", [(1, (255, 130)), (5, (255, 275)), (10, (255, 550))])
-    def test_representative_on_fixture_attributes(self, rsa_key, per_call, count, ops):
-        scheme.modexp_representative(DEFAULT_ATTRIBUTES[:count], rsa_key.n)
+    # modulus.  On the R_i combs each is five 52-bit pieces, so every count
+    # makes 51 squarings and one multiplication per non-empty column of each
+    # attribute, minus 1.
+    @pytest.mark.parametrize("count, ops", [(1, (51, 51)), (5, (51, 254)), (10, (51, 500))])
+    def test_representative_on_fixture_attributes(self, n, per_call, count, ops):
+        scheme.modexp_representative(DEFAULT_ATTRIBUTES[:count], n)
         assert per_call == [ops]
+
+
+class TestCombs:
+    """A comb term gives what the binary chain of scalar_mul or mod_pow
+    gives, for every exponent below 2^(5*width), and raises ValueError for
+    the rest rather than computing a wrong result."""
+
+    @staticmethod
+    def check(comb, chain, combed, rng):
+        w = comb.width
+        # Edge cases, then exponents whose top 4, 3, 2 and 1 pieces are
+        # zero, then full-width ones.
+        exps = ([0, 1, 2**w - 1, 2**w, 2**(4 * w), Q - 1, 2**256 - 1]
+                + [rng.getrandbits(j * w) for j in range(1, 5)]
+                + [rng.getrandbits(5 * w) for _ in range(3)])
+        for e in exps:
+            if e >> 5 * w:
+                with pytest.raises(ValueError):
+                    combed(e)
+            else:
+                assert combed(e) == chain(e), e
+        for e in (-1, 1 << 5 * w, (1 << 5 * w) + 1):
+            with pytest.raises(ValueError):
+                combed(e)
+
+    def test_point_combs_of_b_and_a_public_key(self):
+        rng = random.Random(0xC0B)
+        for pt in (BASE, ecc_keygen(rng).public):
+            comb = curve.point_comb(pt)
+            assert comb.width == 51
+            self.check(comb, lambda k: to_affine(scalar_mul(k, pt)),
+                       lambda k: to_affine(curve.multi_scalar_mul([(k, comb)])), rng)
+
+    def test_mod_comb_of_a_modexp_base(self, rsa_key):
+        n = rsa_key.n
+        base = derive_modexp_base(n, 3)
+        comb = field.mod_comb(base, 256, n)
+        assert comb.width == 52
+        self.check(comb, lambda e: mod_pow(base, e, n),
+                   lambda e: field.multi_mod_pow([(comb, e)], n), random.Random(0xC0C))
+
+    def test_comb_terms_share_a_call_with_per_call_terms(self, rsa_key):
+        rng = random.Random(0xC0D)
+        pt = scalar_mul(rng.randrange(1, Q), BASE)
+        k1, k2, k3 = (rng.randrange(Q) for _ in range(3))
+        got = curve.multi_scalar_mul(
+            [(k1, pt), (k2, curve.point_comb(BASE)), (0, BASE), (k3, curve.point_comb(pt))])
+        assert point_equal(got, point_add(scalar_mul(k1 + k3, pt), scalar_mul(k2, BASE)))
+        n, r = rsa_key.n, derive_modexp_base(rsa_key.n, 0)
+        e1, e2 = rng.getrandbits(256), rng.getrandbits(1024)
+        assert field.multi_mod_pow([(field.mod_comb(r, 256, n), e1), (r, e2)], n) \
+            == mod_pow(r, e1 + e2, n)
+
+
+class TestKeptTables:
+    """Beside B's comb, each scheme keeps the combs of its latest key only."""
+
+    @pytest.mark.parametrize("name, load, material", [
+        ("ecc160", scheme.ecc_comb, lambda key: key.public),
+        ("modexp1024", scheme.rsa_combs, lambda key: key.n),
+    ])
+    def test_one_key_and_a_rebuild_on_a_miss(self, name, load, material):
+        rng = random.Random(0x7AB)
+        keys = [scheme.keygen(name, rng) for _ in range(20)]
+        assert load.cache_info().currsize == 1
+        hits, misses = load.cache_info()[:2]
+        assert load(material(keys[-1])) is load(material(keys[-1]))
+        assert load.cache_info()[:2] == (hits + 2, misses)
+        # A credential under the first key: its combs are built again.
+        cred = scheme.issue(name, keys[0], DEFAULT_ATTRIBUTES[:3], rng)
+        assert scheme.verify(name, scheme.public_part(name, keys[0]), cred)
+        assert load.cache_info().misses == misses + 1
+        assert load.cache_info().currsize == 1
 
 
 class TestMillerRabin:

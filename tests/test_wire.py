@@ -253,6 +253,12 @@ class TestKeyCodec:
         with pytest.raises(MalformedCredential, match="n is not 1024 bits"):
             key_from_wire(key_to_wire("modexp1024", toy))
 
+    @pytest.mark.parametrize("n", [15, (1 << 1023) - 1], ids=["toy", "1023-bit"])
+    def test_public_modulus_of_the_wrong_width_rejected(self, n):
+        doc = public_to_wire("modexp1024", scheme.ModexpPublic(n, 1))
+        with pytest.raises(MalformedCredential, match="n is not 1024 bits"):
+            public_from_wire(doc)
+
     def test_public_round_trip(self, ecc_key, rsa_key):
         name, pub = public_from_wire(public_to_wire("ecc160", ecc_key.public))
         assert name == "ecc160" and point_equal(pub, ecc_key.public)
