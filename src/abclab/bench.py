@@ -80,16 +80,6 @@ class BenchConfig:
         if self.mode == "over-wire" and not (self.issuer_addr and self.verifier_addr):
             raise ValueError("over-wire mode needs issuer_addr and verifier_addr")
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "BenchConfig":
-        kwargs = dict(doc)
-        for key in ("issuer_addr", "verifier_addr"):
-            if isinstance(kwargs.get(key), str):
-                kwargs[key] = wire.parse_endpoint(kwargs[key])
-            elif isinstance(kwargs.get(key), list):
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
-
 
 @dataclass
 class BenchRecord:
@@ -173,8 +163,10 @@ def _fingerprint(wire_doc: dict) -> str:
     ).hexdigest()
 
 
-def run_benchmark(config: BenchConfig) -> list[BenchRecord]:
-    """Execute the full grid and return two records (issue, verify) per run.
+def run_benchmark(config: BenchConfig, errors: list | None = None) -> list[BenchRecord]:
+    """Execute the full grid and return two records (issue, verify) per
+    successful run.  A run that fails on the wire is logged and, if errors
+    is a list, its WireError is appended to it.
 
     Within each attribute count the schemes take turns run by run, so the
     cells that a ratio row compares are measured in the same stretch of
@@ -197,6 +189,8 @@ def run_benchmark(config: BenchConfig) -> list[BenchRecord]:
                 try:
                     result = _one_run(config, scheme_name, attrs, rng)
                 except wire.WireError as exc:
+                    if errors is not None:
+                        errors.append(exc)
                     failures[scheme_name] += 1
                     log.warning(
                         "run failed (%s, %d attrs, run %d): %s",

@@ -12,6 +12,7 @@ import json
 import logging
 import os
 import random
+import socket
 import sys
 
 from . import bench, scheme, wire
@@ -31,9 +32,11 @@ def _rng(seed):
     return random.Random(seed) if seed is not None else None
 
 
-def _resolve_endpoint(flag_value, env_name, default_port):
-    text = flag_value or os.environ.get(env_name) or f"127.0.0.1:{default_port}"
-    return wire.parse_endpoint(text)
+def _resolve_endpoint(env_name, default_port, *given):
+    """The first given address that is not None, else the env var, else the
+    default port on 127.0.0.1; wire.parse_endpoint checks whichever it is."""
+    fallback = os.environ.get(env_name) or f"127.0.0.1:{default_port}"
+    return wire.parse_endpoint(next((value for value in given if value is not None), fallback))
 
 
 def _parse_attrs(args) -> tuple[int, ...]:
@@ -94,8 +97,8 @@ def cmd_keygen(args) -> int:
 def cmd_issue(args) -> int:
     attrs = _parse_attrs(args)
     if args.remote or not args.key:
-        endpoint = _resolve_endpoint(args.remote, wire.ISSUER_ADDR_ENV,
-                                     wire.DEFAULT_ISSUER_PORT)
+        endpoint = _resolve_endpoint(wire.ISSUER_ADDR_ENV, wire.DEFAULT_ISSUER_PORT,
+                                     args.remote)
         doc, round_trip_ms = wire.client_issue(endpoint, args.scheme, attrs)
         print(f"issued remotely in {round_trip_ms:.2f} ms round trip")
     else:
@@ -118,8 +121,8 @@ def cmd_verify(args) -> int:
     if args.scheme not in (None, scheme_name):
         raise UsageError(f"scheme mismatch: --scheme={args.scheme} credential={scheme_name}")
     if args.remote or not args.pub:
-        endpoint = _resolve_endpoint(args.remote, wire.VERIFIER_ADDR_ENV,
-                                     wire.DEFAULT_VERIFIER_PORT)
+        endpoint = _resolve_endpoint(wire.VERIFIER_ADDR_ENV, wire.DEFAULT_VERIFIER_PORT,
+                                     args.remote)
         valid, round_trip_ms = wire.client_verify(endpoint, scheme_name, doc)
         print(f"remote verification took {round_trip_ms:.2f} ms round trip")
     else:
@@ -134,16 +137,17 @@ def cmd_verify(args) -> int:
 
 
 def _serve(args, default_port, env_name, load, run) -> int:
-    endpoint = _resolve_endpoint(args.bind, env_name, default_port)
-    material = {}
-    for path in args.paths:
-        name, item = load(path)
-        material[name] = item
-    print(f"serving {sorted(material)} on {endpoint[0]}:{endpoint[1]}")
-    try:
-        run(endpoint, material)
-    except KeyboardInterrupt:
-        print("stopped")
+    """Load the files, bind, then say where: a failed bind prints nothing,
+    and port 0 reports the port the OS picked."""
+    endpoint = _resolve_endpoint(env_name, default_port, args.bind)
+    material = dict(load(path) for path in args.paths)
+    with socket.create_server(endpoint) as listener:
+        host, port = listener.getsockname()[:2]
+        print(f"serving {sorted(material)} on {host}:{port}", flush=True)
+        try:
+            run(listener, material)
+        except KeyboardInterrupt:
+            print("stopped")
     return 0
 
 
@@ -184,22 +188,24 @@ def cmd_bench(args) -> int:
         base["seed"] = args.seed
     if args.out:
         base["out"] = args.out
-    if base.get("mode") == "over-wire":  # flag, then file, then env var, then default
-        if args.issuer or not base.get("issuer_addr"):
-            base["issuer_addr"] = _resolve_endpoint(
-                args.issuer, wire.ISSUER_ADDR_ENV, wire.DEFAULT_ISSUER_PORT)
-        if args.verifier or not base.get("verifier_addr"):
-            base["verifier_addr"] = _resolve_endpoint(
-                args.verifier, wire.VERIFIER_ADDR_ENV, wire.DEFAULT_VERIFIER_PORT)
+    # Flag, then file, then env var, then default; a file address is checked in any mode.
+    for field, flag, env_name, default_port in (
+            ("issuer_addr", args.issuer, wire.ISSUER_ADDR_ENV, wire.DEFAULT_ISSUER_PORT),
+            ("verifier_addr", args.verifier, wire.VERIFIER_ADDR_ENV, wire.DEFAULT_VERIFIER_PORT)):
+        if base.get("mode") == "over-wire" or base.get(field) is not None:
+            base[field] = _resolve_endpoint(env_name, default_port, flag, base.get(field))
     try:
-        config = bench.BenchConfig.from_dict(base)
+        config = bench.BenchConfig(**base)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad benchmark configuration: {exc}")
 
     total = 2 * len(config.schemes) * len(config.attr_counts) * config.runs
     print(f"running {config.runs} runs x {config.schemes} x "
           f"{config.attr_counts} attrs ({config.mode}): {total} records")
-    records = bench.run_benchmark(config)
+    errors = []
+    records = bench.run_benchmark(config, errors)
+    if not records:  # only over-wire runs can fail, and every one did
+        raise wire.ConnectionFailed(f"no over-wire run succeeded; the last error: {errors[-1]}")
     summaries = bench.summarize(records)
     _print_summaries(summaries, bench.mean_ratio_rows(summaries))
     if config.out:

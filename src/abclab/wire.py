@@ -271,17 +271,13 @@ def key_from_wire(doc):
 # ---------------------------------------------------------------------------
 
 
-def parse_endpoint(text: str) -> tuple[str, int]:
-    host, sep, port = text.rpartition(":")
-    if not sep or not port.isdigit():
-        raise ValueError(f"endpoint must be host:port, got {text!r}")
+def parse_endpoint(text) -> tuple[str, int]:
+    """The (host, port) of a "host:port" string whose port is a wire decimal
+    in 0..65535; an empty host is 127.0.0.1.  ValueError for anything else."""
+    host, sep, port = text.rpartition(":") if isinstance(text, str) else ("", "", "")
+    if not sep or not _DECIMAL.fullmatch(port) or int(port) > 65535:
+        raise ValueError(f"endpoint must be host:port with a port in 0..65535, got {text!r}")
     return host or "127.0.0.1", int(port)
-
-
-def _as_listener(endpoint) -> socket.socket:
-    if isinstance(endpoint, socket.socket):
-        return endpoint
-    return socket.create_server(endpoint)
 
 
 def _error_envelope(code: str, message: str) -> Envelope:
@@ -305,9 +301,9 @@ class _RequestReader:
         return self.conn.recv(n)
 
 
-def _serve(endpoint, handler, stop_event) -> None:
-    """Sequential accept loop; one failed client never affects the next."""
-    listener = _as_listener(endpoint)
+def _serve(listener: socket.socket, handler, stop_event) -> None:
+    """Sequential accept loop on a listening socket, which it closes when it
+    stops; one failed client never affects the next."""
     listener.settimeout(0.2)
     try:
         while stop_event is None or not stop_event.is_set():
@@ -379,15 +375,15 @@ def _handle_verify(scheme_name: str, public, payload: dict) -> Envelope:
     return Envelope("VERIFY_RESPONSE", {"valid": valid, "verify_ms": verify_ms})
 
 
-def issuer_serve(endpoint, issuer_keys: dict, *, stop_event=None) -> None:
-    """Serve ISSUE_REQUESTs until stop_event is set (forever if None)."""
-    _serve(endpoint, lambda req: _dispatch(req, "ISSUE_REQUEST", issuer_keys, _handle_issue),
+def issuer_serve(listener: socket.socket, issuer_keys: dict, *, stop_event=None) -> None:
+    """Serve ISSUE_REQUESTs on listener until stop_event is set (forever if None)."""
+    _serve(listener, lambda req: _dispatch(req, "ISSUE_REQUEST", issuer_keys, _handle_issue),
            stop_event)
 
 
-def verifier_serve(endpoint, publics: dict, *, stop_event=None) -> None:
-    """Serve VERIFY_REQUESTs until stop_event is set (forever if None)."""
-    _serve(endpoint, lambda req: _dispatch(req, "VERIFY_REQUEST", publics, _handle_verify),
+def verifier_serve(listener: socket.socket, publics: dict, *, stop_event=None) -> None:
+    """Serve VERIFY_REQUESTs on listener until stop_event is set (forever if None)."""
+    _serve(listener, lambda req: _dispatch(req, "VERIFY_REQUEST", publics, _handle_verify),
            stop_event)
 
 

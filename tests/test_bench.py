@@ -109,10 +109,9 @@ class TestBenchConfig:
         with pytest.raises(ValueError):
             BenchConfig(mode="over-wire")  # no endpoints
 
-    def test_from_dict(self):
-        config = BenchConfig.from_dict(
-            {"schemes": ["ecc160"], "attr_counts": [2], "runs": 5, "seed": 9}
-        )
+    def test_lists_become_tuples(self):
+        # As a JSON config file gives them.
+        config = BenchConfig(**{"schemes": ["ecc160"], "attr_counts": [2], "runs": 5, "seed": 9})
         assert config.schemes == ("ecc160",)
         assert config.attr_counts == (2,)
         assert config.seed == 9

@@ -1,6 +1,12 @@
+import contextlib
 import json
+import os
+import random
 import socket
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -8,9 +14,18 @@ from abclab import bench, scheme, wire
 from abclab.cli import main
 from abclab.curve import BASE
 
+SRC = Path(wire.__file__).resolve().parents[1]
+
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def abclab(*argv, **kwargs):
+    """Popen arguments that run the abclab command in a child interpreter."""
+    return dict(args=[sys.executable, "-m", "abclab.cli", *argv],
+                env={**os.environ, "PYTHONPATH": str(SRC)},
+                stdin=subprocess.DEVNULL, text=True, **kwargs)
 
 
 @pytest.fixture()
@@ -18,6 +33,20 @@ def ecc_key_file(tmp_path):
     path = tmp_path / "ecc.json"
     assert run_cli("keygen", "--scheme", "ecc160", "--out", str(path), "--seed", "1") == 0
     return path
+
+
+@pytest.fixture(scope="module")
+def key_files(tmp_path_factory):
+    """Each scheme's key file and public-key file, by scheme name."""
+    directory = tmp_path_factory.mktemp("keys")
+    files = {}
+    for name in scheme.SCHEME_NAMES:
+        key = scheme.keygen(name, random.Random(5))
+        files[name] = directory / f"{name}.json", directory / f"{name}-pub.json"
+        files[name][0].write_text(json.dumps(wire.key_to_wire(name, key)))
+        files[name][1].write_text(json.dumps(
+            wire.public_to_wire(name, scheme.public_part(name, key))))
+    return files
 
 
 class TestKeygen:
@@ -112,6 +141,29 @@ class TestIssueVerify:
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_key_file_of_the_other_scheme_exits_1(self, tmp_path, ecc_key_file, capsys):
+        assert run_cli("issue", "--scheme", "modexp1024", "--attrs", "5",
+                       "--key", str(ecc_key_file), "--out", str(tmp_path / "c.json")) == 1
+        assert "key file is for ecc160" in capsys.readouterr().err
+
+    def test_scheme_flag_that_disagrees_with_the_credential_exits_1(
+            self, tmp_path, ecc_key_file, capsys):
+        cred = tmp_path / "cred.json"
+        run_cli("issue", "--scheme", "ecc160", "--attrs", "5",
+                "--key", str(ecc_key_file), "--out", str(cred))
+        assert run_cli("verify", "--scheme", "modexp1024", "--cred", str(cred),
+                       "--pub", str(ecc_key_file)) == 1
+        assert "scheme mismatch" in capsys.readouterr().err
+
+    def test_public_key_of_the_other_scheme_exits_1(
+            self, tmp_path, ecc_key_file, key_files, capsys):
+        cred = tmp_path / "cred.json"
+        run_cli("issue", "--scheme", "ecc160", "--attrs", "5",
+                "--key", str(ecc_key_file), "--out", str(cred))
+        assert run_cli("verify", "--cred", str(cred),
+                       "--pub", str(key_files["modexp1024"][1])) == 1
+        assert "public-key=modexp1024" in capsys.readouterr().err
+
     def test_missing_key_file_exits_3(self, tmp_path):
         assert run_cli("issue", "--scheme", "ecc160", "--attrs", "1",
                        "--key", str(tmp_path / "missing.json"),
@@ -189,6 +241,22 @@ class TestRemote:
         assert run_cli("verify", "--cred", str(cred), "--remote", "127.0.0.1:9") == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("endpoint", [
+        "127.0.0.1:99999", "127.0.0.1:65536", "127.0.0.1:\u0663", "127.0.0.1:+80", "127.0.0.1",
+    ])
+    def test_bad_endpoint_exits_1_and_opens_no_socket(
+            self, tmp_path, monkeypatch, capsys, endpoint):
+        def refuse(*args, **kwargs):
+            raise AssertionError("no connection may be opened")
+
+        monkeypatch.setattr(socket, "create_connection", refuse)
+        assert run_cli("issue", "--scheme", "ecc160", "--attrs", "1",
+                       "--remote", endpoint, "--out", str(tmp_path / "c.json")) == 1
+        monkeypatch.setenv(wire.ISSUER_ADDR_ENV, endpoint)
+        assert run_cli("issue", "--scheme", "ecc160", "--attrs", "1",
+                       "--out", str(tmp_path / "c.json")) == 1
+        assert capsys.readouterr().err.startswith("error: endpoint must be host:port")
+
     def test_issue_reply_without_credential_exits_1(self, tmp_path, fake_service, capsys):
         endpoint = fake_service(wire.Envelope("ISSUE_RESPONSE", {"issue_ms": 1.0}))
         assert run_cli("issue", "--scheme", "ecc160", "--attrs", "1",
@@ -203,6 +271,56 @@ class TestRemote:
         assert run_cli("issue", "--scheme", "ecc160", "--attrs", "1",
                        "--remote", f"127.0.0.1:{port}",
                        "--out", str(tmp_path / "c.json")) == 3
+
+
+@contextlib.contextmanager
+def service(command, *flags):
+    """abclab <command> --bind 127.0.0.1:0 in a child process; yields the
+    host:port it says it serves on, and stops it on the way out."""
+    with subprocess.Popen(**abclab(command, "--bind", "127.0.0.1:0", *flags),
+                          stdout=subprocess.PIPE, stderr=subprocess.DEVNULL) as proc:
+        try:
+            line = proc.stdout.readline()
+            assert line.startswith("serving "), line
+            yield line.split()[-1]
+        finally:
+            proc.terminate()
+            proc.wait(timeout=10)
+
+
+class TestServe:
+    def test_issue_and_verify_against_the_service_commands(self, tmp_path, key_files):
+        keys = [flag for name in scheme.SCHEME_NAMES
+                for flag in ("--key", str(key_files[name][0]))]
+        pubs = [flag for name in scheme.SCHEME_NAMES
+                for flag in ("--pub", str(key_files[name][1]))]
+        with service("serve-issuer", *keys) as issuer, \
+                service("serve-verifier", *pubs) as verifier:
+            assert wire.parse_endpoint(issuer)[1] != 0
+            assert wire.parse_endpoint(verifier)[1] != 0
+            for name in scheme.SCHEME_NAMES:
+                cred = tmp_path / f"{name}.json"
+                assert run_cli("issue", "--scheme", name, "--attrs", "3,4",
+                               "--remote", issuer, "--out", str(cred)) == 0
+                assert run_cli("verify", "--cred", str(cred), "--remote", verifier) == 0
+
+    def test_port_that_is_held_exits_3_before_serving(self, key_files):
+        with socket.create_server(("127.0.0.1", 0)) as held:
+            port = held.getsockname()[1]
+            done = subprocess.run(**abclab(
+                "serve-issuer", "--bind", f"127.0.0.1:{port}",
+                "--key", str(key_files["ecc160"][0])), capture_output=True, timeout=60)
+        assert done.returncode == 3
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
+
+    def test_port_out_of_range_exits_1(self, key_files):
+        done = subprocess.run(**abclab(
+            "serve-verifier", "--bind", "127.0.0.1:70000",
+            "--pub", str(key_files["ecc160"][1])), capture_output=True, timeout=60)
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
 
 
 class TestBenchAndReport:
@@ -243,7 +361,7 @@ class TestBenchAndReport:
     def test_bench_endpoints_flag_then_file_then_env_then_default(self, tmp_path, monkeypatch):
         seen = []
 
-        def stop(config):
+        def stop(config, errors):
             seen.append((config.issuer_addr[1], config.verifier_addr[1]))
             raise bench.IoFailure("stopped before any connection")
 
@@ -261,6 +379,41 @@ class TestBenchAndReport:
         monkeypatch.delenv(wire.VERIFIER_ADDR_ENV)
         assert run_cli("bench", "--config", str(config)) == 3
         assert seen == [(1, 2), (1, 3), (7101, 7102), (7001, 7002)]
+
+    @pytest.mark.parametrize("doc", [
+        {"mode": "over-wire", "issuer_addr": ["127.0.0.1", 1], "verifier_addr": "127.0.0.1:2"},
+        {"mode": "over-wire", "issuer_addr": "127.0.0.1:1", "verifier_addr": "127.0.0.1:99999"},
+        {"issuer_addr": "127.0.0.1:port"},
+    ], ids=["list-form", "port-out-of-range", "in-process"])
+    def test_bench_bad_file_address_exits_1(self, tmp_path, monkeypatch, capsys, doc):
+        def refuse(config, errors):
+            raise AssertionError("the grid may not run")
+
+        monkeypatch.setattr(bench, "run_benchmark", refuse)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        assert run_cli("bench", "--config", str(config)) == 1
+        assert capsys.readouterr().err.startswith("error: endpoint must be host:port")
+
+    def test_bench_over_wire_that_reaches_no_service_exits_3(self, tmp_path, capsys):
+        probe = socket.create_server(("127.0.0.1", 0))
+        dead = f"127.0.0.1:{probe.getsockname()[1]}"
+        probe.close()
+        assert run_cli("bench", "--mode", "over-wire", "--issuer", dead, "--verifier", dead,
+                       "--runs", "1", "--schemes", "ecc160", "--attr-counts", "1") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: no over-wire run succeeded")
+        assert f"cannot reach {dead}" in err
+
+    def test_bench_and_report_out_in_a_missing_directory_exit_3(self, tmp_path, capsys):
+        missing = tmp_path / "missing"
+        assert run_cli("bench", "--schemes", "ecc160", "--attr-counts", "1", "--runs", "1",
+                       "--out", str(missing / "records.json")) == 3
+        records = tmp_path / "records.json"
+        records.write_text(json.dumps({"records": [self.GOOD_RECORD]}))
+        assert run_cli("report", "--records", str(records), "--format", "csv",
+                       "--out", str(missing / "report.csv")) == 3
+        assert capsys.readouterr().err.count("error: cannot write") == 2
 
     def test_bench_without_memory_reading_exits_3(self, monkeypatch, capsys):
         def unsupported():

@@ -187,11 +187,18 @@ class TestCredentialCodec:
 
     @pytest.mark.parametrize("text", [
         "+5", " 5", "5 ", "5\n", "1_000", "05", "00", "-0", "-1", "", "\u0663", "1" * 5000,
+        5, None,
     ])
     def test_non_canonical_attribute_rejected(self, text):
         with pytest.raises(MalformedCredential):
             credential_from_wire(
                 {"scheme": "modexp1024", "attributes": [text], "signature": "0" * 256})
+
+    @pytest.mark.parametrize("attributes", ["5", {"0": "5"}, None])
+    def test_attributes_not_a_list_rejected(self, attributes):
+        with pytest.raises(MalformedCredential, match="must be a list"):
+            credential_from_wire(
+                {"scheme": "modexp1024", "attributes": attributes, "signature": "0" * 256})
 
     @pytest.mark.parametrize("text", [
         "0x" + "0" * 254, " " + "0" * 255, "0" * 255 + "\n", "+" + "0" * 255,
@@ -291,6 +298,14 @@ class TestRegistry:
             assert name == entry.name and doc["scheme"] == entry.name
             assert encode(name, back) == doc
 
+    def test_ill_formed_attributes_do_not_verify(self, entry):
+        rng = random.Random(44)
+        key = entry.keygen(rng)
+        cred = entry.issue(key, [1], rng)
+        for attributes in ((), tuple(range(scheme.MAX_ATTRIBUTES + 1)), (Q,), (-1,)):
+            ill_formed = dataclasses.replace(cred, attributes=attributes)
+            assert entry.verify(key.public, ill_formed) is False
+
     def test_unknown_name(self, entry):
         rng = random.Random(43)
         key = entry.keygen(rng)
@@ -315,12 +330,15 @@ class TestRegistry:
 class TestParseEndpoint:
     def test_host_port(self):
         assert parse_endpoint("10.0.0.1:7001") == ("10.0.0.1", 7001)
+        assert parse_endpoint("h:0") == ("h", 0)
+        assert parse_endpoint("h:65535") == ("h", 65535)
 
     def test_port_only(self):
         assert parse_endpoint(":7002") == ("127.0.0.1", 7002)
 
     def test_rejects_garbage(self):
-        for text in ("nohost", "host:", "host:abc"):
+        for text in ("nohost", "host:", "host:abc", "h:65536", "h:70000", "h:\u0663",
+                     "h:+80", "h: 80", "h:080", "h:" + "1" * 5000, ("h", 80), None):
             with pytest.raises(ValueError):
                 parse_endpoint(text)
 
@@ -378,6 +396,21 @@ class TestServices:
             with pytest.raises(RemoteError) as err:
                 request()
             assert err.value.code == "UNKNOWN_SCHEME"
+
+    def test_request_of_the_other_type(self, services):
+        issuer_ep, verifier_ep = services
+        for request in (lambda: client_verify(issuer_ep, "ecc160", {"scheme": "ecc160"}),
+                        lambda: client_issue(verifier_ep, "ecc160", [1])):
+            with pytest.raises(RemoteError) as err:
+                request()
+            assert err.value.code == "UNSUPPORTED_TYPE"
+
+    def test_credential_of_another_scheme_is_malformed(self, services):
+        issuer_ep, verifier_ep = services
+        doc, _ = client_issue(issuer_ep, "modexp1024", [1])
+        with pytest.raises(RemoteError) as err:
+            client_verify(verifier_ep, "ecc160", doc)
+        assert err.value.code == "MALFORMED"
 
     def test_too_many_attributes(self, services):
         issuer_ep, _ = services
@@ -481,6 +514,17 @@ class TestClientReplies:
         endpoint = fake_service(Envelope("VERIFY_RESPONSE", {**payload, "verify_ms": 1.0}))
         with pytest.raises(MalformedEnvelope):
             client_verify(endpoint, "ecc160", {"scheme": "ecc160"})
+
+    @pytest.mark.parametrize("call, reply_type", [
+        (lambda endpoint: client_issue(endpoint, "ecc160", [1]), "VERIFY_RESPONSE"),
+        (lambda endpoint: client_verify(endpoint, "ecc160", {"scheme": "ecc160"}),
+         "ISSUE_RESPONSE"),
+    ], ids=["issue", "verify"])
+    def test_reply_of_the_wrong_type(self, fake_service, call, reply_type):
+        # The payload would pass either client's own checks: only its type is wrong.
+        endpoint = fake_service(Envelope(reply_type, {"valid": True, "credential": {}}))
+        with pytest.raises(MalformedEnvelope, match="expected"):
+            call(endpoint)
 
     @pytest.mark.parametrize("payload", [{}, {"credential": None}, {"credential": "x"},
                                          {"credential": []}],
