@@ -137,10 +137,14 @@ def cmd_verify(args) -> int:
 
 
 def _serve(args, default_port, env_name, load, run) -> int:
-    """Load the files, bind, then say where: a failed bind prints nothing,
-    and port 0 reports the port the OS picked."""
+    """Load the files, one per scheme, bind, then say where: a failed bind
+    prints nothing, and port 0 reports the port the OS picked."""
     endpoint = _resolve_endpoint(env_name, default_port, args.bind)
-    material = dict(load(path) for path in args.paths)
+    material = {}
+    for name, item in map(load, args.paths):
+        if name in material:
+            raise UsageError(f"more than one key file for {name}")
+        material[name] = item
     with socket.create_server(endpoint) as listener:
         host, port = listener.getsockname()[:2]
         print(f"serving {sorted(material)} on {host}:{port}", flush=True)

@@ -159,12 +159,11 @@ def check_attributes(attrs) -> tuple[int, ...]:
     return attrs
 
 
-def encode_attributes(attrs) -> bytes:
-    """Canonical byte form: one count byte, then 32-byte big-endian values.
+def encode_attributes(attrs: tuple[int, ...]) -> bytes:
+    """Canonical byte form of a checked tuple: a count byte, then 32-byte values.
 
     Injective over valid attribute sets, so it is safe to hash.
     """
-    attrs = check_attributes(attrs)
     return bytes([len(attrs)]) + b"".join(encode32(a) for a in attrs)
 
 
@@ -224,9 +223,8 @@ def check_ecc_key(key: EccIssuerKey) -> None:
         raise InconsistentKey("public is not secret * B")
 
 
-def ecc_commit(attrs) -> ExtendedPoint:
-    """C = sum(a_i * H_i), as one multi-scalar multiplication."""
-    attrs = check_attributes(attrs)
+def ecc_commit(attrs: tuple[int, ...]) -> ExtendedPoint:
+    """C = sum(a_i * H_i) over a checked tuple, as one multi-scalar multiplication."""
     return multi_scalar_mul((a, derive_generator(i)) for i, a in enumerate(attrs))
 
 
@@ -263,9 +261,9 @@ def ecc_verify(public: ExtendedPoint, cred: EccCredential) -> bool:
     on-curve inputs, small-order components included.
     """
     check_point(public)
-    check_point(cred.commitment)
-    check_point(cred.nonce_point)
     try:
+        check_point(cred.commitment)
+        check_point(cred.nonce_point)
         attrs = check_attributes(cred.attributes)
     except ValueError:
         return False
@@ -422,24 +420,22 @@ def check_rsa_key(key: ModexpIssuerKey) -> None:
         raise InconsistentKey("e * d is not 1 mod lcm(p1 - 1, p2 - 1)")
 
 
-def fdh(attrs, n: int) -> int:
-    """Full-domain hash: four chained SHA-256 blocks truncated to 1016 bits.
-
-    The 8-bit headroom keeps the result below any 1024-bit modulus.
-    """
-    check_modulus(n)
-    enc = encode_attributes(attrs)
-    blocks = b"".join(hashlib.sha256(enc + bytes([i])).digest() for i in range(4))
+def _expand_1016(seed: bytes) -> int:
+    """Four SHA-256 blocks of seed + j, cut to 1016 bits: below any 1024-bit n."""
+    blocks = b"".join(hashlib.sha256(seed + bytes([j])).digest() for j in range(4))
     return int.from_bytes(blocks[:127], "big")
+
+
+def fdh(attrs: tuple[int, ...]) -> int:
+    """Full-domain hash of a checked tuple, 1016 bits wide."""
+    return _expand_1016(encode_attributes(attrs))
 
 
 def derive_modexp_base(n: int, i: int) -> int:
     """Public per-attribute base: a hash-derived quadratic residue mod n."""
     if not 0 <= i < MAX_ATTRIBUTES:
         raise IndexError(f"base index {i} out of range 0..{MAX_ATTRIBUTES - 1}")
-    seed = _TAG_MODEXP_BASE + bytes([i]) + n.to_bytes(128, "big")
-    blocks = b"".join(hashlib.sha256(seed + bytes([j])).digest() for j in range(4))
-    r = int.from_bytes(blocks[:127], "big")
+    r = _expand_1016(_TAG_MODEXP_BASE + bytes([i]) + n.to_bytes(128, "big"))
     return r * r % n
 
 
@@ -457,17 +453,17 @@ def rsa_combs(n: int) -> tuple[Comb, ...]:
     return tuple(mod_comb(derive_modexp_base(n, i), 256, n) for i in range(MAX_ATTRIBUTES))
 
 
-def modexp_representative(attrs, n: int) -> int:
-    """fdh(attrs) * prod(R_i ^ digest(a_i)) mod n: the signed quantity.
+def modexp_representative(attrs: tuple[int, ...], n: int) -> int:
+    """fdh(attrs) * prod(R_i ^ digest(a_i)) mod n for a checked tuple: the
+    signed quantity.  InconsistentKey unless n has MODULUS_BITS bits.
 
     One 256-bit-exponent term per attribute, computed as one
     multi-exponentiation, makes both protocol phases scale with attribute
     count.
     """
-    attrs = check_attributes(attrs)
     combs = rsa_combs(n)
     terms = [(combs[i], _attr_digest(i, a)) for i, a in enumerate(attrs)]
-    return fdh(attrs, n) * multi_mod_pow(terms, n) % n
+    return fdh(attrs) * multi_mod_pow(terms, n) % n
 
 
 def rsa_issue(key: ModexpIssuerKey, attrs) -> ModexpCredential:
@@ -492,13 +488,14 @@ def rsa_issue(key: ModexpIssuerKey, attrs) -> ModexpCredential:
 
 def rsa_verify(public: ModexpPublic, cred: ModexpCredential) -> bool:
     n, e = public
-    if not 0 < cred.signature < n:
-        return False
+    rsa_combs(n)  # InconsistentKey for a bad n, whatever the credential, as in ecc_verify
     try:
-        rep = modexp_representative(cred.attributes, n)
+        attrs = check_attributes(cred.attributes)
     except ValueError:
         return False
-    return mod_pow(cred.signature, e, n) == rep
+    if not 0 < cred.signature < n:
+        return False
+    return mod_pow(cred.signature, e, n) == modexp_representative(attrs, n)
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +524,7 @@ class Scheme:
     name: str
     keygen: Callable      # (rng) -> issuer key
     issue: Callable       # (key, attrs, rng) -> credential
-    verify: Callable      # (public part of the key, credential) -> bool
+    verify: Callable      # (public part, credential) -> bool; raises for a bad public part
     check_key: Callable   # (key) -> None; raises InconsistentKey
     load_public: Callable  # (public part) -> its kept combs; raises InconsistentKey
     credential: Layout    # every credential also carries its attributes

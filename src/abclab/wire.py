@@ -23,6 +23,7 @@ from .field import P
 log = logging.getLogger(__name__)
 
 MAX_FRAME_BYTES = 1 << 20
+ERROR_MESSAGE_CHARS = 500  # a refusal may quote the request: cut to this, it fits any frame
 
 ENVELOPE_TYPES = (
     "ISSUE_REQUEST",
@@ -281,7 +282,7 @@ def parse_endpoint(text) -> tuple[str, int]:
 
 
 def _error_envelope(code: str, message: str) -> Envelope:
-    return Envelope("ERROR", {"code": code, "message": message})
+    return Envelope("ERROR", {"code": code, "message": message[:ERROR_MESSAGE_CHARS]})
 
 
 class _RequestReader:
@@ -367,10 +368,7 @@ def _handle_verify(scheme_name: str, public, payload: dict) -> Envelope:
     except MalformedCredential as exc:
         return _error_envelope("MALFORMED", str(exc))
     start = time.perf_counter()
-    try:
-        valid = scheme.verify(scheme_name, public, cred)
-    except InvalidPoint:
-        valid = False
+    valid = scheme.verify(scheme_name, public, cred)
     verify_ms = (time.perf_counter() - start) * 1e3
     return Envelope("VERIFY_RESPONSE", {"valid": valid, "verify_ms": verify_ms})
 

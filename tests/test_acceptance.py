@@ -33,7 +33,7 @@ from abclab.curve import (
 )
 
 import oracles
-from test_scheme import mutate_ecc, mutate_modexp, rejects
+from test_scheme import mutate_ecc, mutate_modexp
 
 
 @contextlib.contextmanager
@@ -142,8 +142,9 @@ def test_criterion_06_scheme_completeness_and_soundness():
         ecc_cred = scheme.ecc_issue(ecc_key, scheme.DEFAULT_ATTRIBUTES[:5], rng)
         rsa_cred = scheme.rsa_issue(rsa_key, scheme.DEFAULT_ATTRIBUTES[:5])
         for _ in range(200):
-            assert rejects("ecc160", ecc_key.public, mutate_ecc(ecc_cred, rng))
-            assert rejects("modexp1024", rsa_key.public, mutate_modexp(rsa_cred, rng))
+            assert scheme.verify("ecc160", ecc_key.public, mutate_ecc(ecc_cred, rng)) is False
+            assert scheme.verify("modexp1024", rsa_key.public,
+                                 mutate_modexp(rsa_cred, rng)) is False
         assert time.perf_counter() - start < 120.0
 
 

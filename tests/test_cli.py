@@ -314,6 +314,20 @@ class TestServe:
         assert done.stdout == ""
         assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
 
+    @pytest.mark.parametrize("command, flag, kind", [
+        ("serve-issuer", "--key", 0), ("serve-verifier", "--pub", 1)])
+    def test_two_files_for_one_scheme_exit_1_and_open_no_socket(
+            self, ecc_key_file, key_files, monkeypatch, capsys, command, flag, kind):
+        def refuse(*args, **kwargs):
+            raise AssertionError("no socket may be opened")
+
+        monkeypatch.setattr(socket, "create_server", refuse)
+        assert run_cli(command, "--bind", "127.0.0.1:0", flag, str(key_files["ecc160"][kind]),
+                       flag, str(key_files["modexp1024"][kind]), flag, str(ecc_key_file)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: more than one key file for ecc160\n"
+
     def test_port_out_of_range_exits_1(self, key_files):
         done = subprocess.run(**abclab(
             "serve-verifier", "--bind", "127.0.0.1:70000",

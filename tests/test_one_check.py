@@ -1,0 +1,41 @@
+"""Each input is checked once, where it enters.  check_attributes runs in
+the four scheme entry points (ecc_issue, ecc_verify, rsa_issue and
+rsa_verify) and at the two boundaries that refuse bad attributes before
+any scheme call: the issuer service, ahead of its timed region, and the
+CLI.  The helpers those entry points call take the checked tuple as it is.
+check_modulus runs where a key is loaded and where a modulus's tables are
+built, never per request."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+from test_one_loop import called_name
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "abclab"
+
+CALLERS = {
+    "check_attributes": {"scheme.py:ecc_issue", "scheme.py:ecc_verify", "scheme.py:rsa_issue",
+                         "scheme.py:rsa_verify", "wire.py:_handle_issue", "cli.py:_parse_attrs"},
+    "check_modulus": {"scheme.py:check_rsa_key", "scheme.py:rsa_combs"},
+}
+
+
+def callers(name):
+    """module:function for each top-level function that calls name."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = top.name if isinstance(top, ast.FunctionDef) else "<module>"
+            if any(isinstance(node, ast.Call) and called_name(node) == name
+                   for node in ast.walk(top)):
+                found.add(f"{path.name}:{owner}")
+    return found
+
+
+@pytest.mark.parametrize("name", sorted(CALLERS))
+def test_called_only_where_the_input_enters(name):
+    found = callers(name)
+    assert found, f"{name} is called nowhere"
+    assert found <= CALLERS[name], f"{name} called from {sorted(found - CALLERS[name])}"

@@ -23,6 +23,7 @@ from abclab.scheme import (
     EmptyAttributes,
     TooManyAttributes,
     UnknownScheme,
+    check_attributes,
     derive_generator,
     derive_modexp_base,
     ecc_commit,
@@ -52,33 +53,30 @@ def rsa_key():
     return rsa_keygen(random.Random(0x45A))
 
 
-def rejects(scheme_name, public, cred):
-    """A mutated credential must either verify False or be rejected as malformed."""
-    try:
-        return not scheme.verify(scheme_name, public, cred)
-    except InvalidPoint:
-        return True
+class TestCheckAttributes:
+    def test_returns_a_tuple(self):
+        assert check_attributes([0, Q - 1]) == (0, Q - 1)
+
+    def test_empty_rejected(self):
+        with pytest.raises(EmptyAttributes):
+            check_attributes([])
+
+    def test_too_many_rejected(self):
+        with pytest.raises(TooManyAttributes):
+            check_attributes(list(range(11)))
+
+    def test_out_of_range_rejected(self):
+        with pytest.raises(AttributeOutOfRange):
+            check_attributes([Q])
+        with pytest.raises(AttributeOutOfRange):
+            check_attributes([-1])
 
 
 class TestEncodeAttributes:
     def test_single_fixture_attribute(self):
-        out = encode_attributes([DEFAULT_ATTRIBUTES[0]])
+        out = encode_attributes((DEFAULT_ATTRIBUTES[0],))
         assert out == bytes([1]) + DEFAULT_ATTRIBUTES[0].to_bytes(32, "big")
         assert len(out) == 33
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyAttributes):
-            encode_attributes([])
-
-    def test_too_many_rejected(self):
-        with pytest.raises(TooManyAttributes):
-            encode_attributes(list(range(11)))
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(AttributeOutOfRange):
-            encode_attributes([Q])
-        with pytest.raises(AttributeOutOfRange):
-            encode_attributes([-1])
 
     def test_order_matters(self):
         assert encode_attributes([1, 2]) != encode_attributes([2, 1])
@@ -199,8 +197,12 @@ class TestEccIssueVerify:
             cred.nonce_point,
             cred.response,
         )
+        assert ecc_verify(ecc_key.public, bad) is False
+
+    def test_off_curve_public_key_raises(self, ecc_key):
+        cred = ecc_issue(ecc_key, [5], random.Random(5))
         with pytest.raises(InvalidPoint):
-            ecc_verify(ecc_key.public, bad)
+            ecc_verify(ecc_key.public._replace(X=(ecc_key.public.X + 1) % P), cred)
 
 
 class TestEccPointOpCounts:
@@ -561,23 +563,23 @@ class TestCheckRsaKey:
 
 
 class TestFdh:
-    def test_deterministic(self, rsa_key):
-        assert fdh([1, 2], rsa_key.n) == fdh([1, 2], rsa_key.n)
+    def test_deterministic(self):
+        assert fdh((1, 2)) == fdh((1, 2))
 
     def test_below_truncation_bound(self, rsa_key):
         rng = random.Random(14)
         for _ in range(50):
-            attrs = [rng.randrange(Q) for _ in range(rng.randrange(1, 11))]
-            assert fdh(attrs, rsa_key.n) < 1 << 1016 < rsa_key.n
+            attrs = tuple(rng.randrange(Q) for _ in range(rng.randrange(1, 11)))
+            assert fdh(attrs) < 1 << 1016 < rsa_key.n
 
-    def test_distinct_attributes_distinct_digests(self, rsa_key):
-        assert fdh([DEFAULT_ATTRIBUTES[0]], rsa_key.n) != fdh(
-            [DEFAULT_ATTRIBUTES[1]], rsa_key.n
-        )
+    def test_distinct_attributes_distinct_digests(self):
+        assert fdh(DEFAULT_ATTRIBUTES[:1]) != fdh(DEFAULT_ATTRIBUTES[1:2])
 
+
+class TestModexpRepresentative:
     def test_rejects_wrong_modulus_width(self):
-        with pytest.raises(ValueError):
-            fdh([1], 1 << 512)
+        with pytest.raises(scheme.InconsistentKey):
+            scheme.modexp_representative((1,), 1 << 512)
 
 
 class TestModexpBases:
@@ -624,6 +626,13 @@ class TestRsaIssueVerify:
         cred = rsa_issue(rsa_key, [1])
         for sig in (0, rsa_key.n, rsa_key.n + cred.signature):
             assert not rsa_verify(rsa_key.public, scheme.ModexpCredential(cred.attributes, sig))
+
+    def test_public_key_of_the_wrong_width_raises(self, rsa_key):
+        cred = rsa_issue(rsa_key, [1])
+        short = scheme.ModexpPublic(rsa_key.n >> 8, rsa_key.e)
+        assert short.n.bit_length() == 1016
+        with pytest.raises(scheme.InconsistentKey):
+            rsa_verify(short, cred)
 
 
 class TestRsaCrtSigning:
@@ -680,14 +689,39 @@ class TestMutationSoundness:
         cred = ecc_issue(ecc_key, DEFAULT_ATTRIBUTES[:5], rng)
         assert ecc_verify(ecc_key.public, cred)
         for _ in range(60):
-            assert rejects("ecc160", ecc_key.public, mutate_ecc(cred, rng))
+            assert scheme.verify("ecc160", ecc_key.public, mutate_ecc(cred, rng)) is False
 
     def test_modexp_single_bit_mutations(self, rsa_key):
         rng = random.Random(0xFACE)
         cred = rsa_issue(rsa_key, DEFAULT_ATTRIBUTES[:5])
         assert rsa_verify(rsa_key.public, cred)
         for _ in range(60):
-            assert rejects("modexp1024", rsa_key.public, mutate_modexp(cred, rng))
+            assert scheme.verify("modexp1024", rsa_key.public, mutate_modexp(cred, rng)) is False
+
+
+class TestChecksPerCall:
+    """Each entry point checks its attributes once, and once a key's tables
+    exist, a request checks its modulus no more."""
+
+    @pytest.mark.parametrize("phase", ["issue", "verify"])
+    @pytest.mark.parametrize("name", scheme.SCHEME_NAMES)
+    def test_one_attribute_check_and_no_modulus_check(
+            self, ecc_key, rsa_key, monkeypatch, name, phase):
+        key = {"ecc160": ecc_key, "modexp1024": rsa_key}[name]
+        public = scheme.public_part(name, key)
+        scheme.lookup(name).load_public(public)
+        cred = scheme.issue(name, key, DEFAULT_ATTRIBUTES, random.Random(16))
+        counts = {"check_attributes": 0, "check_modulus": 0}
+        for check in counts:
+            def counted(*args, check=check, real=getattr(scheme, check)):
+                counts[check] += 1
+                return real(*args)
+            monkeypatch.setattr(scheme, check, counted)
+        if phase == "issue":
+            scheme.issue(name, key, DEFAULT_ATTRIBUTES, random.Random(16))
+        else:
+            assert scheme.verify(name, public, cred)
+        assert counts == {"check_attributes": 1, "check_modulus": 0}
 
 
 class TestDispatch:

@@ -494,6 +494,34 @@ class TestServices:
         assert doc["scheme"] == "ecc160"
         assert waited < wire.CONNECTION_TIMEOUT_S + 3
 
+    # 340,000 three-byte characters: the request fits a frame, but each
+    # character quoted back in a JSON reply takes six bytes.
+    HUGE = "\u4e2d" * 340_000
+
+    @pytest.mark.parametrize("target, request_doc, code", [
+        (0, {"type": "ISSUE_REQUEST", "payload": {"scheme": "ecc160", "attributes": [HUGE]}},
+         "BAD_ATTRIBUTES"),
+        (1, {"type": HUGE, "payload": {}}, "MALFORMED"),
+        (0, {"type": "ISSUE_REQUEST", "payload": {"scheme": HUGE, "attributes": ["1"]}},
+         "UNKNOWN_SCHEME"),
+        (1, {"type": "VERIFY_REQUEST",
+             "payload": {"scheme": "ecc160", "credential": {"scheme": HUGE}}}, "MALFORMED"),
+    ], ids=["attribute", "envelope-type", "scheme-tag", "credential-scheme-tag"])
+    def test_refusal_quoting_a_huge_value_stops_no_service(
+            self, services, target, request_doc, code):
+        body = json.dumps(request_doc, ensure_ascii=False).encode("utf-8")
+        assert len(body) <= wire.MAX_FRAME_BYTES
+        with socket.create_connection(services[target]) as conn:
+            conn.sendall(struct.pack("!I", len(body)) + body)
+            with conn.makefile("rb") as stream:
+                reply = frame_read(stream)
+        assert reply.type == "ERROR" and reply.payload["code"] == code
+        assert len(reply.payload["message"]) == wire.ERROR_MESSAGE_CHARS
+        issuer_ep, verifier_ep = services
+        for name in scheme.SCHEME_NAMES:
+            doc, _ = client_issue(issuer_ep, name, [1])
+            assert client_verify(verifier_ep, name, doc)[0] is True
+
     def test_error_reply_on_garbage_frame(self, services):
         issuer_ep, _ = services
         with socket.create_connection(issuer_ep) as conn:
