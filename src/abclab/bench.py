@@ -65,16 +65,22 @@ class BenchConfig:
     verifier_addr: tuple[str, int] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "schemes", tuple(self.schemes))
-        object.__setattr__(self, "attr_counts", tuple(self.attr_counts))
+        for name in ("schemes", "attr_counts"):  # a JSON file gives lists
+            if not isinstance(getattr(self, name), (list, tuple)):
+                raise ValueError(f"{name} must be a list")
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         unknown = set(self.schemes) - set(scheme.SCHEME_NAMES)
         if unknown or not self.schemes:
             raise ValueError(f"schemes must be a non-empty subset of {scheme.SCHEME_NAMES}")
         top = scheme.MAX_ATTRIBUTES
-        if not self.attr_counts or any(not 1 <= c <= top for c in self.attr_counts):
+        if not self.attr_counts or not all(_is_int(c) and 1 <= c <= top for c in self.attr_counts):
             raise ValueError(f"attr_counts must be a non-empty subset of 1..{top}")
-        if self.runs < 1:
-            raise ValueError("runs must be >= 1")
+        if not (_is_int(self.runs) and self.runs >= 1):
+            raise ValueError("runs must be an integer >= 1")
+        if not (self.seed is None or _is_int(self.seed)):
+            raise ValueError("seed must be an integer or null")
+        if not (self.out is None or isinstance(self.out, str)):
+            raise ValueError("out must be a path string or null")
         if self.mode not in ("in-process", "over-wire"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "over-wire" and not (self.issuer_addr and self.verifier_addr):
@@ -166,7 +172,8 @@ def _fingerprint(wire_doc: dict) -> str:
 def run_benchmark(config: BenchConfig, errors: list | None = None) -> list[BenchRecord]:
     """Execute the full grid and return two records (issue, verify) per
     successful run.  A run that fails on the wire is logged and, if errors
-    is a list, its WireError is appended to it.
+    is a list, its WireError is appended to it; a cell is dropped after
+    _CELL_FAILURE_LIMIT failures in a row.
 
     Within each attribute count the schemes take turns run by run, so the
     cells that a ratio row compares are measured in the same stretch of
@@ -187,36 +194,23 @@ def run_benchmark(config: BenchConfig, errors: list | None = None) -> list[Bench
                 if failures[scheme_name] >= _CELL_FAILURE_LIMIT:
                     continue
                 try:
-                    result = _one_run(config, scheme_name, attrs, rng)
+                    run = _one_run(config, scheme_name, attrs, run_index, rng)
                 except wire.WireError as exc:
+                    failures[scheme_name] += 1
                     if errors is not None:
                         errors.append(exc)
-                    failures[scheme_name] += 1
                     log.warning(
-                        "run failed (%s, %d attrs, run %d): %s",
-                        scheme_name, attr_count, run_index, exc,
-                    )
-                    if failures[scheme_name] >= _CELL_FAILURE_LIMIT:
-                        log.error(
-                            "aborting cell (%s, %d attrs) after %d consecutive "
-                            "failures; results for this cell are partial",
-                            scheme_name, attr_count, failures[scheme_name],
-                        )
+                        "run failed (%s, %d attrs, run %d), %d of %d in a row "
+                        "before the cell is dropped: %s", scheme_name, attr_count,
+                        run_index, failures[scheme_name], _CELL_FAILURE_LIMIT, exc)
                     continue
                 failures[scheme_name] = 0
-                (issue_ms, issue_mb), (valid, verify_ms, verify_mb), digest = result
-                records.append(BenchRecord(
-                    scheme_name, "issue", attr_count, run_index,
-                    issue_ms, issue_mb, digest,
-                ))
-                records.append(BenchRecord(
-                    scheme_name, "verify", attr_count, run_index,
-                    verify_ms, verify_mb, digest, valid,
-                ))
+                records.extend(run)
     return records
 
 
-def _one_run(config, scheme_name, attrs, rng):
+def _one_run(config, scheme_name, attrs, run_index, rng) -> tuple[BenchRecord, BenchRecord]:
+    """The issue and the verify record of one run."""
     if config.mode == "in-process":
         key = scheme.keygen(scheme_name, rng)
         public = scheme.public_part(scheme_name, key)
@@ -224,39 +218,38 @@ def _one_run(config, scheme_name, attrs, rng):
             lambda: time_phase(lambda: scheme.issue(scheme_name, key, attrs, rng)))
         (valid, verify_ms), verify_mb = memory_phase(
             lambda: time_phase(lambda: scheme.verify(scheme_name, public, cred)))
-        digest = _fingerprint(wire.credential_to_wire(scheme_name, cred))
+        doc = wire.credential_to_wire(scheme_name, cred)
     else:
         (doc, issue_ms), issue_mb = memory_phase(
             lambda: wire.client_issue(config.issuer_addr, scheme_name, attrs))
         (valid, verify_ms), verify_mb = memory_phase(
             lambda: wire.client_verify(config.verifier_addr, scheme_name, doc))
-        digest = _fingerprint(doc)
-    return (issue_ms, issue_mb), (valid, verify_ms, verify_mb), digest
+    digest = _fingerprint(doc)
+    return (BenchRecord(scheme_name, "issue", len(attrs), run_index, issue_ms, issue_mb, digest),
+            BenchRecord(scheme_name, "verify", len(attrs), run_index,
+                        verify_ms, verify_mb, digest, valid))
 
 
 def summarize(records: list[BenchRecord]) -> list[StatsSummary]:
-    """Per-cell stats: time over elapsed_ms, memory over per-run max RSS."""
+    """Per-cell stats: time over elapsed_ms, memory over per-run max RSS,
+    whose mean is rounded to two decimals like the readings."""
     if not records:
         raise EmptyCell("no records to summarize")
-    cells: dict[tuple, list[BenchRecord]] = {}
-    for rec in records:
-        cells.setdefault((rec.scheme, rec.phase, rec.attr_count), []).append(rec)
+    cells: dict[tuple, list[float]] = {}
+    for metric, value_of in ((TIME_METRIC, lambda r: r.elapsed_ms),
+                             (MEMORY_METRIC, lambda r: max(r.rss_mb_samples))):
+        for rec in records:
+            cells.setdefault((rec.scheme, rec.phase, rec.attr_count, metric), []).append(
+                value_of(rec))
 
     summaries = []
-    for metric in (TIME_METRIC, MEMORY_METRIC):
-        for (scheme_name, phase, attr_count), recs in cells.items():
-            if metric == TIME_METRIC:
-                values = [r.elapsed_ms for r in recs]
-            else:
-                values = [max(r.rss_mb_samples) for r in recs]
-            mean = statistics.fmean(values)
-            pct = 100.0 * sum(1 for v in values if v >= mean) / len(values)
-            if metric == MEMORY_METRIC:
-                mean = round(mean, 2)
-            summaries.append(StatsSummary(
-                scheme_name, phase, attr_count, metric,
-                min(values), max(values), mean, pct,
-            ))
+    for (scheme_name, phase, attr_count, metric), values in cells.items():
+        mean = statistics.fmean(values)
+        pct = 100.0 * sum(1 for v in values if v >= mean) / len(values)
+        summaries.append(StatsSummary(
+            scheme_name, phase, attr_count, metric, min(values), max(values),
+            round(mean, 2) if metric == MEMORY_METRIC else mean, pct,
+        ))
     return summaries
 
 
@@ -334,15 +327,19 @@ _RENDERERS = {"csv": _render_csv, "markdown": _render_markdown, "json": _render_
 REPORT_FORMATS = tuple(_RENDERERS)
 
 
+def render_report(summaries, fmt: str, stream) -> None:
+    """Write the fmt report of summaries, with their ratio rows, to stream."""
+    _RENDERERS[fmt](summaries, mean_ratio_rows(summaries), stream)
+
+
 def emit_report(summaries, fmt: str, path) -> None:
     if fmt not in _RENDERERS:
         raise ValueError(f"format must be one of {REPORT_FORMATS}, got {fmt!r}")
     if not summaries:
         raise EmptyCell("nothing to report")
-    ratios = mean_ratio_rows(summaries)
     try:
         with open(path, "w", encoding="utf-8", newline="") as stream:
-            _RENDERERS[fmt](summaries, ratios, stream)
+            render_report(summaries, fmt, stream)
     except OSError as exc:
         raise IoFailure(f"cannot write report to {path}: {exc}") from exc
 
@@ -387,7 +384,7 @@ def load_records(path) -> list[BenchRecord]:
     with open(path, encoding="utf-8") as stream:
         try:
             doc = json.load(stream)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # nesting beyond the parser's depth
             raise MalformedRecords(f"{path}: not JSON: {exc}") from exc
     entries = doc.get("records") if isinstance(doc, dict) else None
     if not isinstance(entries, list):

@@ -8,6 +8,7 @@ network failure, or no memory reading on this platform.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -32,16 +33,17 @@ def _rng(seed):
     return random.Random(seed) if seed is not None else None
 
 
-def _resolve_endpoint(env_name, default_port, *given):
-    """The first given address that is not None, else the env var, else the
+def _resolve_endpoint(env_name, default_port, given):
+    """The given address unless it is None, else the env var, else the
     default port on 127.0.0.1; wire.parse_endpoint checks whichever it is."""
-    fallback = os.environ.get(env_name) or f"127.0.0.1:{default_port}"
-    return wire.parse_endpoint(next((value for value in given if value is not None), fallback))
+    if given is None:
+        given = os.environ.get(env_name) or f"127.0.0.1:{default_port}"
+    return wire.parse_endpoint(given)
 
 
 def _parse_attrs(args) -> tuple[int, ...]:
     if args.attrs is not None:
-        values = _parse_int_list(args.attrs, "--attrs")
+        values = args.attrs
     elif 1 <= args.attr_count <= scheme.MAX_ATTRIBUTES:
         values = scheme.DEFAULT_ATTRIBUTES[: args.attr_count]
     else:
@@ -50,16 +52,19 @@ def _parse_attrs(args) -> tuple[int, ...]:
     return scheme.check_attributes(values)
 
 
-def _parse_int_list(text, flag):
+def _int_list(text) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise UsageError(f"{flag} must be comma-separated integers, got {text!r}")
+        raise argparse.ArgumentTypeError(f"must be comma-separated integers, got {text!r}")
 
 
 def _read_json(path):
     with open(path, encoding="utf-8") as stream:
-        return json.load(stream)
+        try:
+            return json.load(stream)
+        except RecursionError as exc:  # nesting beyond the parser's depth
+            raise UsageError(f"{path}: {exc}") from None
 
 
 def _write_json(path, doc):
@@ -165,41 +170,22 @@ def cmd_serve_verifier(args) -> int:
                   _load_public, wire.verifier_serve)
 
 
-def _print_summaries(summaries, ratios) -> None:
-    header = f"{'scheme':<12} {'phase':<7} {'attrs':>5} {'metric':<10} " \
-             f"{'min':>10} {'max':>10} {'mean':>10} {'>=mean%':>8}"
-    print(header)
-    print("-" * len(header))
-    for s in summaries:
-        print(f"{s.scheme:<12} {s.phase:<7} {s.attr_count:>5} {s.metric:<10} "
-              f"{s.min:>10.2f} {s.max:>10.2f} {s.mean:>10.2f} {s.pct_ge_mean:>8.2f}")
-    for row in ratios:
-        print(f"mean-time ratio {bench.RATIO_SCHEME_LABEL} "
-              f"[{row['phase']}, {row['attr_count']} attrs]: {row['ratio']:.2f}")
-
-
 def cmd_bench(args) -> int:
-    base = _read_json(args.config) if args.config else {}
-    if args.schemes:
-        base["schemes"] = args.schemes.split(",")
-    if args.attr_counts:
-        base["attr_counts"] = _parse_int_list(args.attr_counts, "--attr-counts")
-    if args.runs is not None:
-        base["runs"] = args.runs
-    if args.mode:
-        base["mode"] = args.mode
-    if args.seed is not None:
-        base["seed"] = args.seed
-    if args.out:
-        base["out"] = args.out
-    # Flag, then file, then env var, then default; a file address is checked in any mode.
-    for field, flag, env_name, default_port in (
-            ("issuer_addr", args.issuer, wire.ISSUER_ADDR_ENV, wire.DEFAULT_ISSUER_PORT),
-            ("verifier_addr", args.verifier, wire.VERIFIER_ADDR_ENV, wire.DEFAULT_VERIFIER_PORT)):
-        if base.get("mode") == "over-wire" or base.get(field) is not None:
-            base[field] = _resolve_endpoint(env_name, default_port, flag, base.get(field))
+    """The config file's settings, then the given flags over them; an address
+    is checked whenever it is given, and taken from the env var or the
+    default when over-wire mode needs one."""
+    settings = _read_json(args.config) if args.config else {}
+    if not isinstance(settings, dict):
+        raise UsageError(f"{args.config}: the benchmark configuration must be a JSON object")
+    fields = {field.name for field in dataclasses.fields(bench.BenchConfig)}
+    settings.update((name, value) for name, value in vars(args).items() if name in fields)
+    for field, env_name, default_port in (
+            ("issuer_addr", wire.ISSUER_ADDR_ENV, wire.DEFAULT_ISSUER_PORT),
+            ("verifier_addr", wire.VERIFIER_ADDR_ENV, wire.DEFAULT_VERIFIER_PORT)):
+        if settings.get(field) is not None or settings.get("mode") == "over-wire":
+            settings[field] = _resolve_endpoint(env_name, default_port, settings.get(field))
     try:
-        config = bench.BenchConfig(**base)
+        config = bench.BenchConfig(**settings)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad benchmark configuration: {exc}")
 
@@ -210,8 +196,7 @@ def cmd_bench(args) -> int:
     records = bench.run_benchmark(config, errors)
     if not records:  # only over-wire runs can fail, and every one did
         raise wire.ConnectionFailed(f"no over-wire run succeeded; the last error: {errors[-1]}")
-    summaries = bench.summarize(records)
-    _print_summaries(summaries, bench.mean_ratio_rows(summaries))
+    bench.render_report(bench.summarize(records), "markdown", sys.stdout)
     if config.out:
         bench.save_records(config.out, config, records)
         print(f"wrote {len(records)} records to {config.out}")
@@ -245,7 +230,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("issue", help="issue a credential locally or remotely")
     p.add_argument("--scheme", choices=scheme.SCHEME_NAMES, required=True)
-    p.add_argument("--attrs", help="comma-separated decimal attribute values")
+    p.add_argument("--attrs", type=_int_list, help="comma-separated decimal attribute values")
     p.add_argument("--attr-count", type=int, default=10,
                    help="use first N fixture attributes when --attrs is omitted")
     p.add_argument("--key", help="issuer key file for local issuance")
@@ -273,16 +258,19 @@ def build_parser() -> _Parser:
                    help="issuer public key file (repeatable)")
     p.set_defaults(func=cmd_serve_verifier)
 
-    p = sub.add_parser("bench", help="run the benchmark grid")
-    p.add_argument("--schemes", help="comma-separated subset of "
-                                     + ",".join(scheme.SCHEME_NAMES))
-    p.add_argument("--attr-counts", help="comma-separated counts, e.g. 1,5,10")
+    # Each flag's dest is its BenchConfig field, and a flag not given is absent.
+    p = sub.add_parser("bench", help="run the benchmark grid",
+                       argument_default=argparse.SUPPRESS)
+    p.add_argument("--schemes", type=lambda text: text.split(","),
+                   help="comma-separated subset of " + ",".join(scheme.SCHEME_NAMES))
+    p.add_argument("--attr-counts", type=_int_list, help="comma-separated counts, e.g. 1,5,10")
     p.add_argument("--runs", type=int)
     p.add_argument("--mode", choices=("in-process", "over-wire"))
     p.add_argument("--seed", type=int)
-    p.add_argument("--config", help="JSON file with benchmark configuration")
-    p.add_argument("--issuer", help="issuer endpoint for over-wire mode")
-    p.add_argument("--verifier", help="verifier endpoint for over-wire mode")
+    p.add_argument("--config", default=None, help="JSON object of BenchConfig fields")
+    p.add_argument("--issuer", dest="issuer_addr", help="issuer endpoint for over-wire mode")
+    p.add_argument("--verifier", dest="verifier_addr",
+                   help="verifier endpoint for over-wire mode")
     p.add_argument("--out", help="write raw records (JSON) here")
     p.set_defaults(func=cmd_bench)
 

@@ -100,10 +100,6 @@ class InconsistentKey(ValueError):
     """An issuer key's fields do not belong together."""
 
 
-class RngFailure(RuntimeError):
-    """The injected randomness source misbehaved."""
-
-
 class PrimeSearchExhausted(RuntimeError):
     """Prime generation hit its attempt bound."""
 
@@ -173,16 +169,6 @@ def point_bytes(pt: ExtendedPoint) -> bytes:
     return encode32(aff.x) + encode32(aff.y)
 
 
-def _rand_scalar(rng) -> int:
-    try:
-        k = rng.randrange(1, Q)
-    except Exception as exc:  # pragma: no cover - defensive
-        raise RngFailure("randomness source failed") from exc
-    if not 1 <= k < Q:
-        raise RngFailure(f"rng returned out-of-range scalar {k}")
-    return k
-
-
 # ---------------------------------------------------------------------------
 # ecc160: commitment + Schnorr-style signature
 # ---------------------------------------------------------------------------
@@ -211,7 +197,7 @@ def derive_generator(i: int) -> ExtendedPoint:
 
 def ecc_keygen(rng=None) -> EccIssuerKey:
     rng = rng or _SYSTEM_RNG
-    x = _rand_scalar(rng)
+    x = rng.randrange(1, Q)
     key = EccIssuerKey(secret=x, public=multi_scalar_mul([(x, _B_COMB)]))
     ecc_comb(key.public)
     return key
@@ -245,7 +231,7 @@ def ecc_issue(key: EccIssuerKey, attrs, rng=None) -> EccCredential:
     rng = rng or _SYSTEM_RNG
     attrs = check_attributes(attrs)
     commitment = ecc_commit(attrs)
-    k = _rand_scalar(rng)
+    k = rng.randrange(1, Q)
     nonce_point = multi_scalar_mul([(k, _B_COMB)])
     c = _challenge(key.public, commitment, nonce_point, attrs)
     z = (k + c * key.secret) % Q

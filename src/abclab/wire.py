@@ -120,8 +120,8 @@ def frame_read(stream) -> Envelope:
     body = _read_exact(stream, length)
     try:
         doc = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise MalformedJson(str(exc)) from None
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise MalformedJson(str(exc)) from None  # RecursionError: nested too deep
     if not isinstance(doc, dict):
         raise MalformedEnvelope("body is not a JSON object")
     env_type = doc.get("type")
@@ -394,16 +394,18 @@ def _exchange(endpoint: tuple[str, int], request: Envelope,
               expected_type: str) -> tuple[dict, float]:
     """Send request and read one reply; returns the reply's payload and the
     request-to-response wall time in milliseconds.  RemoteError for an ERROR
-    reply, MalformedEnvelope for any type other than expected_type."""
+    reply, MalformedEnvelope for any type other than expected_type, and
+    ConnectionFailed when the socket fails at any step: connect, send, a
+    reset or a reply that is not in within the timeout."""
     try:
-        conn = socket.create_connection(endpoint, timeout=10)
+        with socket.create_connection(endpoint, timeout=10) as conn, \
+                conn.makefile("rwb") as stream:
+            start = time.perf_counter()
+            frame_write(stream, request)
+            response = frame_read(stream)
+            round_trip_ms = (time.perf_counter() - start) * 1e3
     except OSError as exc:
         raise ConnectionFailed(f"cannot reach {endpoint[0]}:{endpoint[1]}: {exc}") from None
-    with conn, conn.makefile("rwb") as stream:
-        start = time.perf_counter()
-        frame_write(stream, request)
-        response = frame_read(stream)
-        round_trip_ms = (time.perf_counter() - start) * 1e3
     if response.type == "ERROR":
         raise RemoteError(
             str(response.payload.get("code")), str(response.payload.get("message"))

@@ -51,3 +51,57 @@ def fake_service():
     yield start
     for thread in threads:
         thread.join(timeout=3)
+
+
+@pytest.fixture(scope="module")
+def threaded_services():
+    """start(keys, publics): an issuer serving keys and a verifier serving
+    publics, each on an ephemeral localhost port in a thread of its own;
+    returns their two (host, port) endpoints.  All stop with the module."""
+    stop = threading.Event()
+    threads = []
+
+    def start(keys, publics):
+        endpoints = []
+        for serve, material in ((wire.issuer_serve, keys), (wire.verifier_serve, publics)):
+            listener = socket.create_server(("127.0.0.1", 0))
+            endpoints.append(listener.getsockname()[:2])
+            thread = threading.Thread(target=serve, args=(listener, material),
+                                      kwargs={"stop_event": stop}, daemon=True)
+            thread.start()
+            threads.append(thread)
+        return tuple(endpoints)
+
+    yield start
+    stop.set()
+    for thread in threads:
+        thread.join(timeout=3)
+    assert not any(thread.is_alive() for thread in threads)
+
+
+@pytest.fixture
+def cutting_service():
+    """start(connections): an endpoint that accepts that many connections
+    and closes each once the request is in, unread, so the client's read
+    of the reply fails with a reset."""
+    threads = []
+
+    def start(connections):
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def serve():
+            with listener:
+                for _ in range(connections):
+                    conn, _addr = listener.accept()
+                    with conn:
+                        conn.recv(1, socket.MSG_PEEK)
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        threads.append(thread)
+        return listener.getsockname()[:2]
+
+    yield start
+    for thread in threads:
+        thread.join(timeout=3)
+    assert not any(thread.is_alive() for thread in threads)

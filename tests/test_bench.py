@@ -1,7 +1,7 @@
 import json
+import logging
 import socket
 import sys
-import threading
 import time
 from dataclasses import asdict
 
@@ -151,31 +151,13 @@ class TestRunBenchmark:
         assert [(r.scheme, r.run_index) for r in records[::2]] == [
             ("ecc160", 0), ("modexp1024", 0), ("ecc160", 1), ("modexp1024", 1)]
 
-    def test_over_wire_mode(self):
+    def test_over_wire_mode(self, threaded_services):
         key = scheme.ecc_keygen()
-        issuer_sock = socket.create_server(("127.0.0.1", 0))
-        verifier_sock = socket.create_server(("127.0.0.1", 0))
-        issuer_ep = ("127.0.0.1", issuer_sock.getsockname()[1])
-        verifier_ep = ("127.0.0.1", verifier_sock.getsockname()[1])
-        stop = threading.Event()
-        threads = [
-            threading.Thread(target=wire.issuer_serve, args=(issuer_sock, {"ecc160": key}),
-                             kwargs={"stop_event": stop}, daemon=True),
-            threading.Thread(target=wire.verifier_serve,
-                             args=(verifier_sock, {"ecc160": key.public}),
-                             kwargs={"stop_event": stop}, daemon=True),
-        ]
-        for t in threads:
-            t.start()
-        try:
-            config = BenchConfig(schemes=("ecc160",), attr_counts=(1,), runs=2,
-                                 mode="over-wire", issuer_addr=issuer_ep,
-                                 verifier_addr=verifier_ep)
-            records = run_benchmark(config)
-        finally:
-            stop.set()
-            for t in threads:
-                t.join(timeout=3)
+        issuer_ep, verifier_ep = threaded_services({"ecc160": key}, {"ecc160": key.public})
+        config = BenchConfig(schemes=("ecc160",), attr_counts=(1,), runs=2,
+                             mode="over-wire", issuer_addr=issuer_ep,
+                             verifier_addr=verifier_ep)
+        records = run_benchmark(config)
         assert len(records) == 4
         assert all(r.valid for r in records if r.phase == "verify")
 
@@ -187,6 +169,18 @@ class TestRunBenchmark:
                              mode="over-wire", issuer_addr=dead, verifier_addr=dead)
         records = run_benchmark(config)
         assert records == []  # cell abandoned, grid loop completed
+
+    def test_over_wire_drops_cell_when_the_exchange_is_cut(self, cutting_service, caplog):
+        # Each connection opens and is then reset, with the request unread.
+        endpoint = cutting_service(3)
+        config = BenchConfig(schemes=("ecc160",), attr_counts=(1,), runs=10,
+                             mode="over-wire", issuer_addr=endpoint, verifier_addr=endpoint)
+        errors = []
+        with caplog.at_level(logging.WARNING, logger="abclab.bench"):
+            assert run_benchmark(config, errors) == []
+        assert len(errors) == 3 and all(isinstance(e, wire.ConnectionFailed) for e in errors)
+        assert [f"{n} of 3 in a row" in r.getMessage() for n, r in
+                zip((1, 2, 3), caplog.records, strict=True)] == [True] * 3
 
 
 def make_records(scheme_name, phase, values, memory=None):

@@ -5,7 +5,6 @@ import random
 import socket
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import pytest
@@ -180,34 +179,26 @@ class TestUsageErrors:
     def test_unknown_scheme(self, tmp_path):
         assert run_cli("keygen", "--scheme", "rot13", "--out", str(tmp_path / "x")) == 1
 
+    def test_json_nested_too_deep_exits_1(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        for argv in (("verify", "--cred", str(deep)),
+                     ("report", "--records", str(deep), "--format", "csv",
+                      "--out", str(tmp_path / "report.csv")),
+                     ("bench", "--config", str(deep))):
+            assert run_cli(*argv) == 1
+            assert capsys.readouterr().err.startswith(f"error: {deep}: ")
+
 
 class TestRemote:
-    def test_issue_verify_over_tcp(self, tmp_path, ecc_key_file, capsys):
+    def test_issue_verify_over_tcp(self, tmp_path, ecc_key_file, threaded_services):
         _, key = wire.key_from_wire(json.loads(ecc_key_file.read_text()))
-        issuer_sock = socket.create_server(("127.0.0.1", 0))
-        verifier_sock = socket.create_server(("127.0.0.1", 0))
-        issuer = f"127.0.0.1:{issuer_sock.getsockname()[1]}"
-        verifier = f"127.0.0.1:{verifier_sock.getsockname()[1]}"
-        stop = threading.Event()
-        threads = [
-            threading.Thread(target=wire.issuer_serve,
-                             args=(issuer_sock, {"ecc160": key}),
-                             kwargs={"stop_event": stop}, daemon=True),
-            threading.Thread(target=wire.verifier_serve,
-                             args=(verifier_sock, {"ecc160": key.public}),
-                             kwargs={"stop_event": stop}, daemon=True),
-        ]
-        for t in threads:
-            t.start()
-        try:
-            cred = tmp_path / "cred.json"
-            assert run_cli("issue", "--scheme", "ecc160", "--attrs", "11,22",
-                           "--remote", issuer, "--out", str(cred)) == 0
-            assert run_cli("verify", "--cred", str(cred), "--remote", verifier) == 0
-        finally:
-            stop.set()
-            for t in threads:
-                t.join(timeout=3)
+        issuer, verifier = ("%s:%d" % endpoint for endpoint in
+                            threaded_services({"ecc160": key}, {"ecc160": key.public}))
+        cred = tmp_path / "cred.json"
+        assert run_cli("issue", "--scheme", "ecc160", "--attrs", "11,22",
+                       "--remote", issuer, "--out", str(cred)) == 0
+        assert run_cli("verify", "--cred", str(cred), "--remote", verifier) == 0
 
     @pytest.mark.parametrize("doc", [{"attributes": ["1"]},
                                      {"scheme": "rot13", "attributes": ["1"]}])
@@ -263,6 +254,12 @@ class TestRemote:
                        "--remote", f"{endpoint[0]}:{endpoint[1]}",
                        "--out", str(tmp_path / "c.json")) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_exchange_cut_after_connect_exits_3(self, tmp_path, cutting_service, capsys):
+        endpoint = cutting_service(1)
+        assert run_cli("issue", "--scheme", "ecc160", "--attrs", "1",
+                       "--remote", "%s:%d" % endpoint, "--out", str(tmp_path / "c.json")) == 3
+        assert capsys.readouterr().err.startswith("error: cannot reach")
 
     def test_dead_endpoint_exits_3(self, tmp_path):
         probe = socket.create_server(("127.0.0.1", 0))
@@ -408,6 +405,41 @@ class TestBenchAndReport:
         config.write_text(json.dumps(doc))
         assert run_cli("bench", "--config", str(config)) == 1
         assert capsys.readouterr().err.startswith("error: endpoint must be host:port")
+
+    @pytest.mark.parametrize("text", [
+        "[]", '"x"', '{"runs": 2.5}', '{"runs": true}', '{"seed": [1]}', '{"out": 2}',
+        '{"attr_counts": [true]}', '{"attr_counts": [1.0]}', '{"schemes": {"ecc160": 0}}',
+    ])
+    def test_bench_config_that_is_no_object_or_ill_typed_exits_1(
+            self, tmp_path, monkeypatch, capsys, text):
+        def refuse(config, errors):
+            raise AssertionError("the grid may not run")
+
+        monkeypatch.setattr(bench, "run_benchmark", refuse)
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        assert run_cli("bench", "--config", str(config)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_bench_bad_address_flag_in_process_exits_1(self, monkeypatch, capsys):
+        def refuse(config, errors):
+            raise AssertionError("the grid may not run")
+
+        monkeypatch.setattr(bench, "run_benchmark", refuse)
+        assert run_cli("bench", "--issuer", "garbage") == 1
+        assert capsys.readouterr().err.startswith("error: endpoint must be host:port")
+
+    def test_bench_prints_the_markdown_report(self, tmp_path, capsys):
+        records, report = tmp_path / "records.json", tmp_path / "report.md"
+        assert run_cli("bench", "--attr-counts", "1", "--runs", "1", "--seed", "5",
+                       "--out", str(records)) == 0
+        out = capsys.readouterr().out
+        assert run_cli("report", "--records", str(records), "--format", "markdown",
+                       "--out", str(report)) == 0
+        assert report.read_text() in out
+        assert "## Mean-time ratios (modexp1024 / ecc160)" in out
 
     def test_bench_over_wire_that_reaches_no_service_exits_3(self, tmp_path, capsys):
         probe = socket.create_server(("127.0.0.1", 0))

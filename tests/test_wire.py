@@ -76,7 +76,7 @@ class TestFraming:
             frame_read(buf)
 
     def test_bad_json(self):
-        for body in (b"{nope", b"\xff\xfe\x00garbage!"):
+        for body in (b"{nope", b"\xff\xfe\x00garbage!", b"[" * 100_000):
             buf = io.BytesIO(struct.pack("!I", len(body)) + body)
             with pytest.raises(MalformedJson):
                 frame_read(buf)
@@ -344,27 +344,10 @@ class TestParseEndpoint:
 
 
 @pytest.fixture(scope="module")
-def services(ecc_key, rsa_key):
+def services(threaded_services, ecc_key, rsa_key):
     """Issuer and verifier listening on ephemeral localhost ports."""
-    keys = {"ecc160": ecc_key, "modexp1024": rsa_key}
-    publics = {"ecc160": ecc_key.public, "modexp1024": rsa_key.public}
-    issuer_sock = socket.create_server(("127.0.0.1", 0))
-    verifier_sock = socket.create_server(("127.0.0.1", 0))
-    issuer_ep = ("127.0.0.1", issuer_sock.getsockname()[1])
-    verifier_ep = ("127.0.0.1", verifier_sock.getsockname()[1])
-    stop = threading.Event()
-    threads = [
-        threading.Thread(target=wire.issuer_serve, args=(issuer_sock, keys),
-                         kwargs={"stop_event": stop}, daemon=True),
-        threading.Thread(target=wire.verifier_serve, args=(verifier_sock, publics),
-                         kwargs={"stop_event": stop}, daemon=True),
-    ]
-    for t in threads:
-        t.start()
-    yield issuer_ep, verifier_ep
-    stop.set()
-    for t in threads:
-        t.join(timeout=3)
+    return threaded_services({"ecc160": ecc_key, "modexp1024": rsa_key},
+                             {"ecc160": ecc_key.public, "modexp1024": rsa_key.public})
 
 
 class TestServices:
@@ -532,6 +515,19 @@ class TestServices:
         assert reply.type == "ERROR"
         assert reply.payload["code"] == "MALFORMED"
 
+    def test_frame_nested_too_deep_is_malformed(self, services):
+        # Valid JSON within the frame bound, nested past the parser's depth.
+        issuer_ep, _ = services
+        body = b"[" * 100_000 + b"]" * 100_000
+        assert len(body) <= wire.MAX_FRAME_BYTES
+        with socket.create_connection(issuer_ep) as conn:
+            conn.sendall(struct.pack("!I", len(body)) + body)
+            with conn.makefile("rb") as stream:
+                reply = frame_read(stream)
+        assert reply.type == "ERROR" and reply.payload["code"] == "MALFORMED"
+        doc, _ = client_issue(issuer_ep, "ecc160", [42])
+        assert doc["scheme"] == "ecc160"
+
 
 class TestClientReplies:
     """The clients accept only replies of the documented shape."""
@@ -560,4 +556,9 @@ class TestClientReplies:
     def test_issue_reply_needs_a_credential_object(self, fake_service, payload):
         endpoint = fake_service(Envelope("ISSUE_RESPONSE", {**payload, "issue_ms": 1.0}))
         with pytest.raises(MalformedEnvelope):
+            client_issue(endpoint, "ecc160", [1])
+
+    def test_exchange_cut_after_connect_is_connection_failed(self, cutting_service):
+        endpoint = cutting_service(1)
+        with pytest.raises(ConnectionFailed, match="reset"):
             client_issue(endpoint, "ecc160", [1])
