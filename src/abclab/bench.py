@@ -20,18 +20,22 @@ import random
 import statistics
 import sys
 import time
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, asdict, astuple, dataclass, fields
 
 from . import scheme, wire
 
 log = logging.getLogger(__name__)
 
-PHASES = ("issue", "verify")
 TIME_METRIC = "time_ms"
-MEMORY_METRIC = "memory_mb"
+# Each summarized metric: the value it takes from a BenchRecord, the decimals
+# its mean keeps (None: all) and its report title after the phase word.
+METRICS = {
+    TIME_METRIC: (lambda r: r.elapsed_ms, None, "time (ms)"),
+    "memory_mb": (lambda r: max(r.rss_mb_samples), 2, "memory (MB, per-run max RSS)"),
+}
+PHASE_WORDS = {"issue": "Issuance", "verify": "Verification"}
 # Ratio rows divide the heavyweight baseline's mean time by the lightweight one's.
 RATIO_PAIR = (scheme.MODEXP1024.name, scheme.ECC160.name)
-RATIO_SCHEME_LABEL = "/".join(RATIO_PAIR)
 
 # Consecutive failures after which a grid cell is abandoned.
 _CELL_FAILURE_LIMIT = 3
@@ -231,24 +235,25 @@ def _one_run(config, scheme_name, attrs, run_index, rng) -> tuple[BenchRecord, B
 
 
 def summarize(records: list[BenchRecord]) -> list[StatsSummary]:
-    """Per-cell stats: time over elapsed_ms, memory over per-run max RSS,
-    whose mean is rounded to two decimals like the readings."""
+    """Per-cell stats of each METRICS value: min, max, the exact mean kept to
+    the metric's decimals, and the share of runs at or above that mean."""
     if not records:
         raise EmptyCell("no records to summarize")
     cells: dict[tuple, list[float]] = {}
-    for metric, value_of in ((TIME_METRIC, lambda r: r.elapsed_ms),
-                             (MEMORY_METRIC, lambda r: max(r.rss_mb_samples))):
+    for metric, (value_of, _, _) in METRICS.items():
         for rec in records:
             cells.setdefault((rec.scheme, rec.phase, rec.attr_count, metric), []).append(
                 value_of(rec))
 
     summaries = []
     for (scheme_name, phase, attr_count, metric), values in cells.items():
-        mean = statistics.fmean(values)
-        pct = 100.0 * sum(1 for v in values if v >= mean) / len(values)
+        # Correctly rounded, so min <= mean <= max; float, as ints may average to an int.
+        mean = float(statistics.mean(values))
+        places = METRICS[metric][1]
         summaries.append(StatsSummary(
             scheme_name, phase, attr_count, metric, min(values), max(values),
-            round(mean, 2) if metric == MEMORY_METRIC else mean, pct,
+            mean if places is None else round(mean, places),
+            100.0 * sum(v >= mean for v in values) / len(values),
         ))
     return summaries
 
@@ -256,59 +261,38 @@ def summarize(records: list[BenchRecord]) -> list[StatsSummary]:
 def mean_ratio_rows(summaries: list[StatsSummary]) -> list[dict]:
     """RATIO_PAIR mean-time ratios per (phase, attr_count) cell."""
     heavy, light = RATIO_PAIR
-    means: dict[tuple, float] = {}
-    for s in summaries:
-        if s.metric == TIME_METRIC:
-            means[(s.scheme, s.phase, s.attr_count)] = s.mean
-    rows = []
-    for (scheme_name, phase, attr_count), slow_mean in sorted(means.items()):
-        if scheme_name != heavy:
-            continue
-        fast_mean = means.get((light, phase, attr_count))
-        if fast_mean:
-            rows.append({
-                "phase": phase,
-                "attr_count": attr_count,
-                "metric": TIME_METRIC,
-                "ratio": slow_mean / fast_mean,
-            })
-    return rows
-
-
-CSV_COLUMNS = ("scheme", "phase", "attr_count", "metric", "min", "max", "mean", "pct_ge_mean")
+    means = {(s.scheme, s.phase, s.attr_count): s.mean
+             for s in summaries if s.metric == TIME_METRIC}
+    return [{"phase": phase, "attr_count": attr_count, "metric": TIME_METRIC,
+             "ratio": mean / means[light, phase, attr_count]}
+            for (scheme_name, phase, attr_count), mean in sorted(means.items())
+            if scheme_name == heavy and means.get((light, phase, attr_count))]
 
 
 def _render_csv(summaries, ratios, stream):
     writer = csv.writer(stream)
-    writer.writerow(CSV_COLUMNS)
-    for s in summaries:
-        writer.writerow([s.scheme, s.phase, s.attr_count, s.metric,
-                         s.min, s.max, s.mean, s.pct_ge_mean])
-    for row in ratios:
-        writer.writerow([RATIO_SCHEME_LABEL, row["phase"], row["attr_count"],
-                         f"{row['metric']}_mean_ratio", "", "", row["ratio"], ""])
+    writer.writerow(f.name for f in fields(StatsSummary))
+    writer.writerows(map(astuple, summaries))
+    writer.writerows(["/".join(RATIO_PAIR), row["phase"], row["attr_count"],
+                      f"{row['metric']}_mean_ratio", "", "", row["ratio"], ""]
+                     for row in ratios)
 
 
 def _render_markdown(summaries, ratios, stream):
-    titles = {
-        ("issue", TIME_METRIC): "Issuance time (ms)",
-        ("verify", TIME_METRIC): "Verification time (ms)",
-        ("issue", MEMORY_METRIC): "Issuance memory (MB, per-run max RSS)",
-        ("verify", MEMORY_METRIC): "Verification memory (MB, per-run max RSS)",
-    }
     stream.write("# Credential scheme benchmark\n")
-    for (phase, metric), title in titles.items():
-        rows = [s for s in summaries if s.phase == phase and s.metric == metric]
-        if not rows:
-            continue
-        stream.write(f"\n## {title}\n\n")
-        stream.write("| scheme | attrs | min | max | mean | % runs >= mean |\n")
-        stream.write("| --- | --- | --- | --- | --- | --- |\n")
-        for s in sorted(rows, key=lambda s: (s.scheme, s.attr_count)):
-            stream.write(
-                f"| {s.scheme} | {s.attr_count} | {s.min:.2f} | {s.max:.2f} "
-                f"| {s.mean:.2f} | {s.pct_ge_mean:.2f} |\n"
-            )
+    for metric, (_, _, title) in METRICS.items():
+        for phase, word in PHASE_WORDS.items():
+            rows = [s for s in summaries if s.phase == phase and s.metric == metric]
+            if not rows:
+                continue
+            stream.write(f"\n## {word} {title}\n\n")
+            stream.write("| scheme | attrs | min | max | mean | % runs >= mean |\n")
+            stream.write("| --- | --- | --- | --- | --- | --- |\n")
+            for s in sorted(rows, key=lambda s: (s.scheme, s.attr_count)):
+                stream.write(
+                    f"| {s.scheme} | {s.attr_count} | {s.min:.2f} | {s.max:.2f} "
+                    f"| {s.mean:.2f} | {s.pct_ge_mean:.2f} |\n"
+                )
     if ratios:
         stream.write("\n## Mean-time ratios ({} / {})\n\n".format(*RATIO_PAIR))
         stream.write("| phase | attrs | ratio |\n| --- | --- | --- |\n")

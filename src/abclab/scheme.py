@@ -178,8 +178,8 @@ _B_COMB = point_comb(BASE)
 
 @functools.lru_cache(maxsize=1)  # kept for the latest ecc160 key only
 def ecc_comb(public: ExtendedPoint) -> Comb:
-    """The comb of -public, for ecc_verify."""
-    return point_comb(point_negate(public))
+    """The comb of -public, for ecc_verify; InvalidPoint unless public is on the curve."""
+    return point_comb(point_negate(check_point(public)))
 
 
 @functools.cache
@@ -246,7 +246,7 @@ def ecc_verify(public: ExtendedPoint, cred: EccCredential) -> bool:
     across is exact in the group, so the verdict is the same for any
     on-curve inputs, small-order components included.
     """
-    check_point(public)
+    public_comb = ecc_comb(public)  # InvalidPoint for a bad key, whatever the credential
     try:
         check_point(cred.commitment)
         check_point(cred.nonce_point)
@@ -258,7 +258,7 @@ def ecc_verify(public: ExtendedPoint, cred: EccCredential) -> bool:
     if not point_equal(ecc_commit(attrs), cred.commitment):
         return False
     c = _challenge(public, cred.commitment, cred.nonce_point, attrs)
-    lhs = multi_scalar_mul([(cred.response, _B_COMB), (c, ecc_comb(public))])
+    lhs = multi_scalar_mul([(cred.response, _B_COMB), (c, public_comb)])
     return point_equal(lhs, cred.nonce_point)
 
 

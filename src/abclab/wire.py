@@ -120,8 +120,8 @@ def frame_read(stream) -> Envelope:
     body = _read_exact(stream, length)
     try:
         doc = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise MalformedJson(str(exc)) from None  # RecursionError: nested too deep
+    except (ValueError, RecursionError) as exc:  # too many int digits, or nested too deep
+        raise MalformedJson(str(exc)) from None
     if not isinstance(doc, dict):
         raise MalformedEnvelope("body is not a JSON object")
     env_type = doc.get("type")

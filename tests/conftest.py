@@ -30,7 +30,7 @@ def point_op_counts(monkeypatch):
 @pytest.fixture
 def fake_service():
     """start(reply): an endpoint that reads one request and answers it with
-    the envelope reply, whatever the request was."""
+    the envelope reply, or with reply's raw bytes, whatever the request was."""
     threads = []
 
     def start(reply):
@@ -41,7 +41,10 @@ def fake_service():
                 conn, _addr = listener.accept()
                 with conn, conn.makefile("rwb") as stream:
                     wire.frame_read(stream)
-                    wire.frame_write(stream, reply)
+                    if isinstance(reply, bytes):  # a frame frame_write cannot make
+                        stream.write(reply)
+                    else:
+                        wire.frame_write(stream, reply)
 
         thread = threading.Thread(target=serve, daemon=True)
         thread.start()

@@ -205,6 +205,11 @@ class TestSummarize:
         time_summary = next(s for s in summaries if s.metric == "time_ms")
         assert time_summary.min == time_summary.max == time_summary.mean == 5.0
         assert time_summary.pct_ge_mean == 100.0
+        # Five equal readings whose float sum / 5 lands one ulp above them.
+        records = make_records("ecc160", "issue", [1.0] * 5, memory=[[25.61]] * 5)
+        mem = next(s for s in summarize(records) if s.metric == "memory_mb")
+        assert mem.mean == 25.61
+        assert mem.pct_ge_mean == 100.0
 
     def test_memory_uses_per_run_max(self):
         records = make_records("ecc160", "issue", [1.0, 1.0],

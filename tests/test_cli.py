@@ -1,10 +1,13 @@
 import contextlib
+import io
 import json
 import os
 import random
 import socket
+import struct
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -271,11 +274,11 @@ class TestRemote:
 
 
 @contextlib.contextmanager
-def service(command, *flags):
+def service(command, *flags, stderr=subprocess.DEVNULL):
     """abclab <command> --bind 127.0.0.1:0 in a child process; yields the
     host:port it says it serves on, and stops it on the way out."""
     with subprocess.Popen(**abclab(command, "--bind", "127.0.0.1:0", *flags),
-                          stdout=subprocess.PIPE, stderr=subprocess.DEVNULL) as proc:
+                          stdout=subprocess.PIPE, stderr=stderr) as proc:
         try:
             line = proc.stdout.readline()
             assert line.startswith("serving "), line
@@ -285,21 +288,124 @@ def service(command, *flags):
             proc.wait(timeout=10)
 
 
+def key_flags(key_files, kind):
+    """--key or --pub (kind 0 or 1) with each scheme's file."""
+    return [flag for name in scheme.SCHEME_NAMES
+            for flag in (("--key", "--pub")[kind], str(key_files[name][kind]))]
+
+
+def issue_and_verify_each_scheme(tmp_path, issuer, verifier):
+    for name in scheme.SCHEME_NAMES:
+        cred = tmp_path / f"{name}.json"
+        assert run_cli("issue", "--scheme", name, "--attrs", "3,4",
+                       "--remote", issuer, "--out", str(cred)) == 0
+        assert run_cli("verify", "--cred", str(cred), "--remote", verifier) == 0
+
+
+def frame(body):
+    return struct.pack("!I", len(body)) + body
+
+
+# Values a fuzzed envelope puts in place of a genuine field, or adds to it.
+JUNK = [None, True, 0, -1, 2**64, 1.5, float("nan"), "", "x", "-1", "0" * 64, "f" * 64,
+        "1" * 64, "0" * 256, [], {}, ["1"] * 11, [str(2**256)], ["9" * 5_000], {"x": "1"},
+        "ecc160", "modexp1024", json.loads("[" * 900 + "]" * 900)]
+LONG_INT = b"9" * 5_000  # past the interpreter's int digit limit; json.dumps cannot write it
+
+
+def mutated(doc, rng):
+    """doc with one field, maybe of a nested object, replaced, added or dropped."""
+    doc = dict(doc)
+    nested = [key for key, value in doc.items() if isinstance(value, dict)]
+    if nested and rng.random() < 0.5:
+        key = rng.choice(nested)
+        doc[key] = mutated(doc[key], rng)
+    elif doc and rng.random() < 0.2:
+        del doc[rng.choice(sorted(doc))]
+    else:
+        doc[rng.choice([*doc, "scheme", "junk"])] = rng.choice(JUNK)
+    return doc
+
+
+def fuzz_request(rng, request_type, payload):
+    """One seeded malformed request: its bytes, which the peer sends before
+    it shuts down its sending side, whole or not."""
+    whole = frame(json.dumps({"type": request_type, "payload": payload}).encode())
+    kind = rng.randrange(8)
+    if kind == 0:
+        return rng.randbytes(rng.randrange(1, 200))
+    if kind == 1:
+        return whole[:rng.randrange(1, 4)]  # a truncated length prefix
+    if kind == 2:
+        return struct.pack("!I", rng.choice([0, wire.MAX_FRAME_BYTES + 1, 2**32 - 1]))
+    if kind == 3:
+        return whole[:rng.randrange(4, len(whole))]  # cut in the middle of the frame
+    if kind == 4:
+        return frame(b'{"type": "%s", "payload": {"scheme": %s}}' % (
+            request_type.encode(), LONG_INT))
+    env_type = request_type if rng.random() < 0.75 else rng.choice([*wire.ENVELOPE_TYPES, "junk"])
+    return frame(json.dumps({"type": env_type, "payload": mutated(payload, rng)}).encode())
+
+
+def exchange_raw(endpoint, data):
+    """Send data, shut down the sending side, and read the reply to its end."""
+    with socket.create_connection(endpoint, timeout=10) as conn:
+        with contextlib.suppress(OSError):  # the service answered before it read all of data
+            conn.sendall(data)
+            conn.shutdown(socket.SHUT_WR)
+        chunks = []
+        with contextlib.suppress(ConnectionResetError):
+            while chunk := conn.recv(65536):
+                chunks.append(chunk)
+    return b"".join(chunks)
+
+
 class TestServe:
     def test_issue_and_verify_against_the_service_commands(self, tmp_path, key_files):
-        keys = [flag for name in scheme.SCHEME_NAMES
-                for flag in ("--key", str(key_files[name][0]))]
-        pubs = [flag for name in scheme.SCHEME_NAMES
-                for flag in ("--pub", str(key_files[name][1]))]
-        with service("serve-issuer", *keys) as issuer, \
-                service("serve-verifier", *pubs) as verifier:
+        with service("serve-issuer", *key_flags(key_files, 0)) as issuer, \
+                service("serve-verifier", *key_flags(key_files, 1)) as verifier:
             assert wire.parse_endpoint(issuer)[1] != 0
             assert wire.parse_endpoint(verifier)[1] != 0
-            for name in scheme.SCHEME_NAMES:
-                cred = tmp_path / f"{name}.json"
-                assert run_cli("issue", "--scheme", name, "--attrs", "3,4",
-                               "--remote", issuer, "--out", str(cred)) == 0
-                assert run_cli("verify", "--cred", str(cred), "--remote", verifier) == 0
+            issue_and_verify_each_scheme(tmp_path, issuer, verifier)
+
+    def test_services_survive_a_seeded_fuzz(self, tmp_path, key_files):
+        started = time.monotonic()
+        rng = random.Random(0xF022)
+        logs = [tmp_path / "issuer.log", tmp_path / "verifier.log"]
+        with contextlib.ExitStack() as stack, \
+                open(logs[0], "w") as issuer_log, open(logs[1], "w") as verifier_log, \
+                service("serve-issuer", *key_flags(key_files, 0), stderr=issuer_log) as issuer, \
+                service("serve-verifier", *key_flags(key_files, 1),
+                        stderr=verifier_log) as verifier:
+            endpoints = [wire.parse_endpoint(issuer), wire.parse_endpoint(verifier)]
+            # Each stalled peer holds its sequential service for CONNECTION_TIMEOUT_S.
+            stalled = [stack.enter_context(socket.create_connection(endpoint, timeout=10))
+                       for endpoint in endpoints]
+            for conn in stalled:
+                conn.sendall(b"\x00\x00")
+            genuine = [{"scheme": name, "attributes": ["3", "4"]}
+                       for name in scheme.SCHEME_NAMES]
+            genuine += [{"scheme": name, "credential": wire.client_issue(endpoints[0], name, [3])[0]}
+                        for name in scheme.SCHEME_NAMES]
+            answers = [set(), set()]
+            for _ in range(300):
+                which = rng.randrange(2)
+                request_type = ("ISSUE_REQUEST", "VERIFY_REQUEST")[which]
+                payload = rng.choice(genuine[2 * which:2 * which + 2])
+                reply = exchange_raw(endpoints[which], fuzz_request(rng, request_type, payload))
+                if reply:
+                    stream = io.BytesIO(reply)
+                    envelope = wire.frame_read(stream)
+                    assert stream.read() == b""
+                    answers[which].add(envelope.payload.get("code", envelope.type))
+            assert [conn.recv(1) for conn in stalled] == [b"", b""]  # dropped unanswered
+            issue_and_verify_each_scheme(tmp_path, issuer, verifier)
+        assert "INTERNAL" not in answers[0] | answers[1]
+        assert {"MALFORMED", "UNKNOWN_SCHEME", "UNSUPPORTED_TYPE", "BAD_ATTRIBUTES"} <= answers[0]
+        assert {"MALFORMED", "UNKNOWN_SCHEME", "UNSUPPORTED_TYPE", "VERIFY_RESPONSE"} <= answers[1]
+        for log in logs:
+            assert "handler failure" not in log.read_text()
+        assert time.monotonic() - started < 30
 
     def test_port_that_is_held_exits_3_before_serving(self, key_files):
         with socket.create_server(("127.0.0.1", 0)) as held:

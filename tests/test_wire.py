@@ -76,7 +76,7 @@ class TestFraming:
             frame_read(buf)
 
     def test_bad_json(self):
-        for body in (b"{nope", b"\xff\xfe\x00garbage!", b"[" * 100_000):
+        for body in (b"{nope", b"\xff\xfe\x00garbage!", b"[" * 100_000, b"9" * 5_000):
             buf = io.BytesIO(struct.pack("!I", len(body)) + body)
             with pytest.raises(MalformedJson):
                 frame_read(buf)
@@ -516,15 +516,16 @@ class TestServices:
         assert reply.payload["code"] == "MALFORMED"
 
     def test_frame_nested_too_deep_is_malformed(self, services):
-        # Valid JSON within the frame bound, nested past the parser's depth.
+        # Valid JSON within the frame bound, nested past the parser's depth,
+        # or holding an integer past the interpreter's digit limit.
         issuer_ep, _ = services
-        body = b"[" * 100_000 + b"]" * 100_000
-        assert len(body) <= wire.MAX_FRAME_BYTES
-        with socket.create_connection(issuer_ep) as conn:
-            conn.sendall(struct.pack("!I", len(body)) + body)
-            with conn.makefile("rb") as stream:
-                reply = frame_read(stream)
-        assert reply.type == "ERROR" and reply.payload["code"] == "MALFORMED"
+        for body in (b"[" * 100_000 + b"]" * 100_000, b"9" * 5_000):
+            assert len(body) <= wire.MAX_FRAME_BYTES
+            with socket.create_connection(issuer_ep) as conn:
+                conn.sendall(struct.pack("!I", len(body)) + body)
+                with conn.makefile("rb") as stream:
+                    reply = frame_read(stream)
+            assert reply.type == "ERROR" and reply.payload["code"] == "MALFORMED"
         doc, _ = client_issue(issuer_ep, "ecc160", [42])
         assert doc["scheme"] == "ecc160"
 
@@ -556,6 +557,12 @@ class TestClientReplies:
     def test_issue_reply_needs_a_credential_object(self, fake_service, payload):
         endpoint = fake_service(Envelope("ISSUE_RESPONSE", {**payload, "issue_ms": 1.0}))
         with pytest.raises(MalformedEnvelope):
+            client_issue(endpoint, "ecc160", [1])
+
+    def test_reply_with_too_many_int_digits_is_malformed(self, fake_service):
+        body = b'{"type": "ISSUE_RESPONSE", "payload": {"issue_ms": ' + b"9" * 5_000 + b"}}"
+        endpoint = fake_service(struct.pack("!I", len(body)) + body)
+        with pytest.raises(MalformedJson):
             client_issue(endpoint, "ecc160", [1])
 
     def test_exchange_cut_after_connect_is_connection_failed(self, cutting_service):
