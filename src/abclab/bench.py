@@ -3,10 +3,10 @@
 Reproduces the evaluation grid (schemes x attribute counts x repeated runs)
 and aggregates each cell into min/max/mean plus the share of runs at or
 above the mean.  Memory is the OS resident set size of this process in MB,
-rounded to two decimal places: read just before and just after each phase,
-plus the getrusage peak when the phase raised it.  The scheme names, the
-attribute bound and the pair the ratio rows compare come from the scheme
-registry.
+rounded to two decimal places, read just before and just after each phase.
+The scheme names, the attribute bound and the pair the ratio rows compare
+come from the scheme registry.  A file that cannot be read or written raises
+the OSError of the open or the write; the CLI turns it into exit 3.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import os
 import random
 import statistics
@@ -49,10 +50,6 @@ class EmptyCell(ValueError):
     """summarize() was handed no records."""
 
 
-class IoFailure(OSError):
-    """A report file could not be written."""
-
-
 class MalformedRecords(ValueError):
     """A records file is not the document save_records writes."""
 
@@ -73,11 +70,10 @@ class BenchConfig:
             if not isinstance(getattr(self, name), (list, tuple)):
                 raise ValueError(f"{name} must be a list")
             object.__setattr__(self, name, tuple(getattr(self, name)))
-        unknown = set(self.schemes) - set(scheme.SCHEME_NAMES)
-        if unknown or not self.schemes:
+        if not _is_subset(self.schemes, lambda given: given in scheme.SCHEME_NAMES):
             raise ValueError(f"schemes must be a non-empty subset of {scheme.SCHEME_NAMES}")
         top = scheme.MAX_ATTRIBUTES
-        if not self.attr_counts or not all(_is_int(c) and 1 <= c <= top for c in self.attr_counts):
+        if not _is_subset(self.attr_counts, lambda count: _is_int(count) and 1 <= count <= top):
             raise ValueError(f"attr_counts must be a non-empty subset of 1..{top}")
         if not (_is_int(self.runs) and self.runs >= 1):
             raise ValueError("runs must be an integer >= 1")
@@ -115,18 +111,6 @@ class StatsSummary:
     pct_ge_mean: float
 
 
-def peak_rss_mb() -> float | None:
-    """The getrusage peak RSS of this process in MB, rounded to two decimals
-    (Linux reports it in kB, macOS in bytes); None where there is no getrusage."""
-    try:
-        import resource
-    except ImportError:
-        return None
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    scale = 1 if sys.platform == "darwin" else 1024
-    return round(peak * scale / 2**20, 2)
-
-
 def rss_mb() -> float:
     """Resident set size in MB, rounded to two decimals.
 
@@ -140,10 +124,13 @@ def rss_mb() -> float:
         return round(pages * os.sysconf("SC_PAGE_SIZE") / 2**20, 2)
     except (OSError, ValueError, IndexError):
         pass
-    peak = peak_rss_mb()
-    if peak is None:
+    try:
+        import resource
+    except ImportError:
         raise UnsupportedPlatform("no RSS reading available: no /proc/self/statm, no getrusage")
-    return peak
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    scale = 1 if sys.platform == "darwin" else 1024  # macOS reports bytes, Linux kB
+    return round(peak * scale / 2**20, 2)
 
 
 def time_phase(action):
@@ -155,16 +142,10 @@ def time_phase(action):
 
 def memory_phase(action):
     """Run action as one phase; returns (its result, the phase's RSS samples):
-    the RSS just before and just after it and, if the getrusage peak rose
-    meanwhile, the new peak, which the process reached inside the phase."""
-    peak = peak_rss_mb()
-    samples = [rss_mb()]
+    the RSS just before and just after it."""
+    before = rss_mb()
     result = action()
-    samples.append(rss_mb())
-    new_peak = peak_rss_mb()
-    if peak is not None and new_peak > peak:
-        samples.append(new_peak)
-    return result, samples
+    return result, [before, rss_mb()]
 
 
 def _fingerprint(wire_doc: dict) -> str:
@@ -317,25 +298,15 @@ def render_report(summaries, fmt: str, stream) -> None:
 
 
 def emit_report(summaries, fmt: str, path) -> None:
-    if fmt not in _RENDERERS:
-        raise ValueError(f"format must be one of {REPORT_FORMATS}, got {fmt!r}")
-    if not summaries:
-        raise EmptyCell("nothing to report")
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as stream:
-            render_report(summaries, fmt, stream)
-    except OSError as exc:
-        raise IoFailure(f"cannot write report to {path}: {exc}") from exc
+    with open(path, "w", encoding="utf-8", newline="") as stream:
+        render_report(summaries, fmt, stream)
 
 
 def save_records(path, config: BenchConfig, records: list[BenchRecord]) -> None:
     doc = {"config": asdict(config), "records": [asdict(r) for r in records]}
-    try:
-        with open(path, "w", encoding="utf-8") as stream:
-            json.dump(doc, stream)
-            stream.write("\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write records to {path}: {exc}") from exc
+    with open(path, "w", encoding="utf-8") as stream:
+        json.dump(doc, stream)
+        stream.write("\n")
 
 
 def _is_int(value) -> bool:
@@ -343,13 +314,22 @@ def _is_int(value) -> bool:
 
 
 def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite number that a float can hold, and no bool."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):  # no number, or an int past the float range
+        return False
+
+
+def _is_subset(values, member) -> bool:
+    """Whether values is non-empty, each is a member, and none repeats."""
+    return bool(values) and all(map(member, values)) and len(set(values)) == len(values)
 
 
 # The value a records file may hold in each BenchRecord field.
 _RECORD_VALUE_CHECKS = {
     "scheme": lambda v: isinstance(v, str),
-    "phase": lambda v: isinstance(v, str),
+    "phase": lambda v: isinstance(v, str) and v in PHASE_WORDS,
     "attr_count": _is_int,
     "run_index": _is_int,
     "elapsed_ms": _is_real,
@@ -363,7 +343,8 @@ def load_records(path) -> list[BenchRecord]:
     """The records of a save_records file.  MalformedRecords unless it is
     JSON, an object with a "records" list, and each record an object with
     every BenchRecord field that has no default, no other field, and a value
-    of the field's type: a non-empty list of reals for rss_mb_samples, and
+    of the field's type: a phase word for phase, a finite number for
+    elapsed_ms, a non-empty list of finite numbers for rss_mb_samples, and
     null or a bool for valid."""
     with open(path, encoding="utf-8") as stream:
         try:

@@ -63,7 +63,7 @@ def _read_json(path):
     with open(path, encoding="utf-8") as stream:
         try:
             return json.load(stream)
-        except RecursionError as exc:  # nesting beyond the parser's depth
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
             raise UsageError(f"{path}: {exc}") from None
 
 
@@ -292,8 +292,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (wire.ConnectionFailed, wire.RemoteError, bench.IoFailure,
-            bench.UnsupportedPlatform, OSError) as exc:
+    except (wire.ConnectionFailed, wire.RemoteError, bench.UnsupportedPlatform, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (wire.WireError, scheme.UnknownScheme, ValueError) as exc:

@@ -181,16 +181,23 @@ class TestUsageErrors:
 
     def test_unknown_scheme(self, tmp_path):
         assert run_cli("keygen", "--scheme", "rot13", "--out", str(tmp_path / "x")) == 1
+        # A report format outside argparse's choices is refused the same way.
+        assert run_cli("report", "--records", str(tmp_path / "r.json"), "--format", "xml",
+                       "--out", str(tmp_path / "x")) == 1
 
-    def test_json_nested_too_deep_exits_1(self, tmp_path, capsys):
-        deep = tmp_path / "deep.json"
-        deep.write_text("[" * 100_000 + "]" * 100_000)
-        for argv in (("verify", "--cred", str(deep)),
-                     ("report", "--records", str(deep), "--format", "csv",
-                      "--out", str(tmp_path / "report.csv")),
-                     ("bench", "--config", str(deep))):
-            assert run_cli(*argv) == 1
-            assert capsys.readouterr().err.startswith(f"error: {deep}: ")
+    def test_malformed_json_file_exits_1_naming_it(self, tmp_path, capsys):
+        files = {"deep.json": b"[" * 100_000 + b"]" * 100_000,
+                 "not-json.json": b"records",
+                 "not-utf8.json": b'{"records": "\xff"}'}
+        for name, content in files.items():
+            path = tmp_path / name
+            path.write_bytes(content)
+            for argv in (("verify", "--cred", str(path)),
+                         ("report", "--records", str(path), "--format", "csv",
+                          "--out", str(tmp_path / "report.csv")),
+                         ("bench", "--config", str(path))):
+                assert run_cli(*argv) == 1
+                assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
 class TestRemote:
@@ -480,7 +487,7 @@ class TestBenchAndReport:
 
         def stop(config, errors):
             seen.append((config.issuer_addr[1], config.verifier_addr[1]))
-            raise bench.IoFailure("stopped before any connection")
+            raise OSError("stopped before any connection")
 
         monkeypatch.setattr(bench, "run_benchmark", stop)
         monkeypatch.setenv(wire.ISSUER_ADDR_ENV, "127.0.0.1:7101")
@@ -515,6 +522,7 @@ class TestBenchAndReport:
     @pytest.mark.parametrize("text", [
         "[]", '"x"', '{"runs": 2.5}', '{"runs": true}', '{"seed": [1]}', '{"out": 2}',
         '{"attr_counts": [true]}', '{"attr_counts": [1.0]}', '{"schemes": {"ecc160": 0}}',
+        '{"attr_counts": [1, 1]}',
     ])
     def test_bench_config_that_is_no_object_or_ill_typed_exits_1(
             self, tmp_path, monkeypatch, capsys, text):
@@ -565,7 +573,10 @@ class TestBenchAndReport:
         records.write_text(json.dumps({"records": [self.GOOD_RECORD]}))
         assert run_cli("report", "--records", str(records), "--format", "csv",
                        "--out", str(missing / "report.csv")) == 3
-        assert capsys.readouterr().err.count("error: cannot write") == 2
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 2
+        for line, name in zip(errors, ("records.json", "report.csv")):
+            assert line.startswith("error: ") and line.endswith(f"'{missing / name}'")
 
     def test_bench_without_memory_reading_exits_3(self, monkeypatch, capsys):
         def unsupported():
@@ -597,6 +608,11 @@ class TestBenchAndReport:
         "rss-samples-empty": {**GOOD_RECORD, "rss_mb_samples": []},
         "rss-samples-str-item": {**GOOD_RECORD, "rss_mb_samples": [20.0, "x"]},
         "rss-samples-number": {**GOOD_RECORD, "rss_mb_samples": 20.0},
+        "elapsed-ms-nan": {**GOOD_RECORD, "elapsed_ms": float("nan")},
+        "elapsed-ms-past-float": {**GOOD_RECORD, "elapsed_ms": 10**400},
+        "rss-samples-infinity": {**GOOD_RECORD, "rss_mb_samples": [20.0, float("inf")]},
+        "phase-unknown": {**GOOD_RECORD, "phase": "foo"},
+        "phase-list": {**GOOD_RECORD, "phase": ["issue"]},
         "valid-str": {**GOOD_RECORD, "valid": "yes"},
         "valid-int": {**GOOD_RECORD, "valid": 0},
     }

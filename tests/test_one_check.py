@@ -4,9 +4,12 @@ rsa_verify) and at the two boundaries that refuse bad attributes before
 any scheme call: the issuer service, ahead of its timed region, and the
 CLI.  The helpers those entry points call take the checked tuple as it is.
 check_modulus runs where a key is loaded and where a modulus's tables are
-built, never per request."""
+built, never per request.  A failed read or write is an OSError, which
+cli.main alone turns into exit 3: no package error type wraps one."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -39,3 +42,15 @@ def test_called_only_where_the_input_enters(name):
     found = callers(name)
     assert found, f"{name} is called nowhere"
     assert found <= CALLERS[name], f"{name} called from {sorted(found - CALLERS[name])}"
+
+
+def test_no_package_error_is_an_os_error():
+    classes = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"abclab.{path.stem}")
+        classes.update((f"{path.name}:{name}", cls)
+                       for name, cls in inspect.getmembers(module, inspect.isclass)
+                       if cls.__module__ == module.__name__)
+    assert "bench.py:MalformedRecords" in classes
+    found = sorted(name for name, cls in classes.items() if issubclass(cls, OSError))
+    assert not found, f"package classes that subclass OSError: {found}"
