@@ -168,18 +168,28 @@ def run_benchmark(config: BenchConfig, errors: list | None = None) -> list[Bench
     comb tables, so the phase times exclude them.  Over-wire mode talks
     to long-lived services, whose keys were fixed at service start; elapsed
     times are then client-side round trips.
+
+    Each cell starts with one untimed warm-up run, numbered -1, whose
+    records are dropped: it builds the system tables of its attribute count
+    (the commitment generators and their subset table) in the process or
+    the services, so no timed phase does.  Its keys and nonces come from an
+    rng of its own, so a seed gives the same credentials with or without it.
     """
-    rng = random.Random(config.seed) if config.seed is not None else random.SystemRandom()
+    if config.seed is None:
+        rng = warm_up_rng = random.SystemRandom()
+    else:
+        rng, warm_up_rng = random.Random(config.seed), random.Random(f"{config.seed}:warm-up")
     records: list[BenchRecord] = []
     for attr_count in config.attr_counts:
         attrs = scheme.DEFAULT_ATTRIBUTES[:attr_count]
         failures = dict.fromkeys(config.schemes, 0)
-        for run_index in range(config.runs):
+        for run_index in range(-1, config.runs):
             for scheme_name in config.schemes:
                 if failures[scheme_name] >= _CELL_FAILURE_LIMIT:
                     continue
                 try:
-                    run = _one_run(config, scheme_name, attrs, run_index, rng)
+                    run = _one_run(config, scheme_name, attrs, run_index,
+                                   rng if run_index >= 0 else warm_up_rng)
                 except wire.WireError as exc:
                     failures[scheme_name] += 1
                     if errors is not None:
@@ -190,7 +200,8 @@ def run_benchmark(config: BenchConfig, errors: list | None = None) -> list[Bench
                         run_index, failures[scheme_name], _CELL_FAILURE_LIMIT, exc)
                     continue
                 failures[scheme_name] = 0
-                records.extend(run)
+                if run_index >= 0:
+                    records.extend(run)
     return records
 
 
@@ -302,11 +313,10 @@ def emit_report(summaries, fmt: str, path) -> None:
         render_report(summaries, fmt, stream)
 
 
-def save_records(path, config: BenchConfig, records: list[BenchRecord]) -> None:
-    doc = {"config": asdict(config), "records": [asdict(r) for r in records]}
-    with open(path, "w", encoding="utf-8") as stream:
-        json.dump(doc, stream)
-        stream.write("\n")
+def save_records(stream, config: BenchConfig, records: list[BenchRecord]) -> None:
+    """Write the records document that load_records reads to stream."""
+    json.dump({"config": asdict(config), "records": [asdict(r) for r in records]}, stream)
+    stream.write("\n")
 
 
 def _is_int(value) -> bool:
@@ -328,10 +338,10 @@ def _is_subset(values, member) -> bool:
 
 # The value a records file may hold in each BenchRecord field.
 _RECORD_VALUE_CHECKS = {
-    "scheme": lambda v: isinstance(v, str),
+    "scheme": lambda v: isinstance(v, str) and v in scheme.SCHEME_NAMES,
     "phase": lambda v: isinstance(v, str) and v in PHASE_WORDS,
-    "attr_count": _is_int,
-    "run_index": _is_int,
+    "attr_count": lambda v: _is_int(v) and 1 <= v <= scheme.MAX_ATTRIBUTES,
+    "run_index": lambda v: _is_int(v) and v >= 0,
     "elapsed_ms": _is_real,
     "rss_mb_samples": lambda v: isinstance(v, list) and bool(v) and all(map(_is_real, v)),
     "cred_sha256": lambda v: isinstance(v, str),
@@ -343,9 +353,10 @@ def load_records(path) -> list[BenchRecord]:
     """The records of a save_records file.  MalformedRecords unless it is
     JSON, an object with a "records" list, and each record an object with
     every BenchRecord field that has no default, no other field, and a value
-    of the field's type: a phase word for phase, a finite number for
-    elapsed_ms, a non-empty list of finite numbers for rss_mb_samples, and
-    null or a bool for valid."""
+    of the field's type and range: a registered scheme name for scheme, a
+    phase word for phase, an attribute count in 1..MAX_ATTRIBUTES, a
+    run_index >= 0, a finite number for elapsed_ms, a non-empty list of
+    finite numbers for rss_mb_samples, and null or a bool for valid."""
     with open(path, encoding="utf-8") as stream:
         try:
             doc = json.load(stream)
@@ -366,5 +377,5 @@ def load_records(path) -> list[BenchRecord]:
         bad = sorted(name for name, value in entry.items()
                      if not _RECORD_VALUE_CHECKS[name](value))
         if bad:
-            raise MalformedRecords(f"{path}: record {index} has ill-typed values in {bad}")
+            raise MalformedRecords(f"{path}: record {index} has bad values in {bad}")
     return [BenchRecord(**entry) for entry in entries]

@@ -15,6 +15,7 @@ import os
 import random
 import socket
 import sys
+from contextlib import nullcontext
 
 from . import bench, scheme, wire
 
@@ -189,17 +190,23 @@ def cmd_bench(args) -> int:
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad benchmark configuration: {exc}")
 
-    total = 2 * len(config.schemes) * len(config.attr_counts) * config.runs
-    print(f"running {config.runs} runs x {config.schemes} x "
-          f"{config.attr_counts} attrs ({config.mode}): {total} records")
-    errors = []
-    records = bench.run_benchmark(config, errors)
-    if not records:  # only over-wire runs can fail, and every one did
-        raise wire.ConnectionFailed(f"no over-wire run succeeded; the last error: {errors[-1]}")
-    bench.render_report(bench.summarize(records), "markdown", sys.stdout)
-    if config.out:
-        bench.save_records(config.out, config, records)
-        print(f"wrote {len(records)} records to {config.out}")
+    # Opened before the grid runs, so a path that cannot be written fails
+    # first; appending leaves an existing file as it was until the records
+    # replace it.
+    with open(config.out, "a", encoding="utf-8") if config.out else nullcontext() as out:
+        total = 2 * len(config.schemes) * len(config.attr_counts) * config.runs
+        print(f"running {config.runs} runs x {config.schemes} x "
+              f"{config.attr_counts} attrs ({config.mode}): {total} records")
+        errors = []
+        records = bench.run_benchmark(config, errors)
+        if not records:  # only over-wire runs can fail, and every one did
+            raise wire.ConnectionFailed(
+                f"no over-wire run succeeded; the last error: {errors[-1]}")
+        bench.render_report(bench.summarize(records), "markdown", sys.stdout)
+        if out:
+            out.truncate(0)
+            bench.save_records(out, config, records)
+            print(f"wrote {len(records)} records to {config.out}")
     return 0
 
 

@@ -7,8 +7,9 @@ loop, ``straus``: Straus's simultaneous method over any group given its
 combine and square.  ``multi_mod_pow`` (whose one-term case is ``mod_pow``)
 runs it mod m, and the curve's ``multi_scalar_mul`` on points.  Both loops
 are explicit interpreted code with no built-in pow.  Each call builds its
-terms' subset tables, except for a ``Comb`` term, whose table its caller
-built once and keeps.  All functions are pure and safe to call concurrently.
+terms' subset tables, except for a ``Comb`` or ``Subsets`` term, whose
+table its caller built once and keeps.  All functions are pure and safe to
+call concurrently.
 """
 
 from __future__ import annotations
@@ -58,8 +59,9 @@ def fe_inv(a: int) -> int:
     """Multiplicative inverse mod p, by mod_inv; ZeroInverse for a == 0 mod p.
 
     Every conversion to affine coordinates pays one: ``to_affine``, and so
-    each ``point_bytes`` in the ecc160 challenge (three per issue and three
-    per verify) and each point the wire codecs encode.
+    each ``point_bytes`` in the ecc160 challenge (two per issue and two per
+    verify, as the issuer key's bytes are kept) and each point the wire
+    codecs encode.
     """
     if a % P == 0:
         raise ZeroInverse("0 has no inverse mod p")
@@ -88,6 +90,18 @@ def _subsets(elems, combine) -> list:
     return table
 
 
+class Subsets(NamedTuple):  # a kept subset table; see subsets()
+    count: int
+    table: list
+
+
+def subsets(elems, combine) -> Subsets:
+    """A table to keep for elems fixed in advance: their _subsets, for a term
+    whose exponent holds one exponent per element."""
+    elems = list(elems)
+    return Subsets(len(elems), _subsets(elems, combine))
+
+
 def comb(elem, bits, combine, power) -> Comb:
     """A table to keep for elem (Lim and Lee, CRYPTO '94): the _subsets of its
     powers elem^(2^(j*width)), j < STRAUS_GROUP, by power(a, e) = a^e."""
@@ -103,32 +117,43 @@ def straus(terms, combine, square):
     (exponent, element) terms, by Straus's simultaneous method ("Addition
     chains of vectors", 1964): combine(a, b) is the group operation and
     square(a) combines a with itself.  None if no term has a non-zero
-    exponent; ValueError for a negative exponent or one too wide for its Comb.
+    exponent; ValueError for a negative exponent, one too wide for its Comb,
+    or more exponents than a Subsets term's table has elements.
 
-    Terms with a zero exponent are dropped.  A Comb term is a group of its
-    own: its kept table, with its exponent's width-bit pieces as the
-    exponents of the powers.  The rest split, in order, into groups of at
-    most STRAUS_GROUP that tabulate their subsets per call (_subsets).  All
-    groups share one chain, top bit first: square once per bit position
-    below the top, and combine in each group's subset of the exponents with
-    that bit set, if not empty.  The first selected entry starts the
-    result, so a call costs 2^g - g - 1 table combines per per-call group
-    of g (none for a comb), plus one per (bit position, group) whose subset
-    is not empty, minus 1; and max(bit_length) - 1 squarings over the
-    exponents and comb pieces.  A one-term call without a comb has no
-    table work: bit_length - 1 squarings and popcount - 1 combines.
+    Terms whose exponents are all zero are dropped.  A Comb term is a group
+    of its own: its kept table, with its exponent's width-bit pieces as the
+    exponents of the powers.  A Subsets term is one too: its kept table,
+    with one exponent per tabulated element as its exponent.  The rest
+    split, in order, into groups of at most STRAUS_GROUP that tabulate their
+    subsets per call (_subsets).  All groups share one chain, top bit first:
+    square once per bit position below the top, and combine in each group's
+    subset of the exponents with that bit set, if not empty.  The first
+    selected entry starts the result, so a call costs 2^g - g - 1 table
+    combines per per-call group of g (a kept table, Comb or Subsets, makes
+    none), plus one per (bit position, group) whose subset is not empty,
+    minus 1; and max(bit_length) - 1 squarings over the exponents and comb
+    pieces.  A one-term call without a kept table has no table work:
+    bit_length - 1 squarings and popcount - 1 combines.
     """
-    terms = [(exp, elem) for exp, elem in terms if exp]
-    if any(exp < 0 for exp, _ in terms):
-        raise ValueError("exponents and scalars must be non-negative")
     groups = []   # (table, the exponent of each of its elements)
+    plain = []
     for exp, elem in terms:
-        if isinstance(elem, Comb):
+        exps = tuple(exp) if isinstance(elem, Subsets) else (exp,)
+        if any(e < 0 for e in exps):
+            raise ValueError("exponents and scalars must be non-negative")
+        if not any(exps):
+            continue
+        if isinstance(elem, Subsets):
+            if len(exps) > elem.count:
+                raise ValueError("more exponents than its table has elements")
+            groups.append((elem.table, exps))
+        elif isinstance(elem, Comb):
             if exp >> STRAUS_GROUP * elem.width:
                 raise ValueError("exponent too wide for its comb")
             mask = (1 << elem.width) - 1
             groups.append((elem.table, [exp >> j * elem.width & mask for j in range(STRAUS_GROUP)]))
-    plain = [term for term in terms if not isinstance(term[1], Comb)]
+        else:
+            plain.append((exp, elem))
     for start in range(0, len(plain), STRAUS_GROUP):
         exps, elems = zip(*plain[start:start + STRAUS_GROUP])
         groups.append((_subsets(elems, combine), exps))

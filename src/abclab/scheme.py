@@ -15,13 +15,16 @@
 Both schemes compute their per-attribute product -- the commitment
 sum(a_i * H_i) and the representative's prod(R_i ^ digest_i) -- as one
 multi-exponentiation by Straus's simultaneous method, so the attribute
-terms share one chain of doublings or squarings and each group of up to
-five attributes adds or multiplies at most once per bit position.  The
-ecc160 verifier checks its signature equation the same way, as one
-two-term sum z*B - c*Q_pub.  Bases fixed before a request that always
-take full-width exponents (B, -Q_pub, each R_i) bring kept comb tables
-(``field.Comb``): B's built at import, and per scheme the latest key's,
-built by keygen, ``Scheme.load_public`` or else the key's first request.
+terms share one chain of doublings or squarings.  The ecc160 verifier
+checks its signature equation the same way, as one two-term sum
+z*B - c*Q_pub.  No request builds a table; the kept ones are:
+
+- B's comb (``field.Comb``), built at import;
+- per attribute count k, the 2^k subset sums of the system parameters
+  H_0..H_{k-1} (``field.Subsets``), built on the first commitment to k
+  attributes: the k terms then add at most once per bit position;
+- per scheme, the latest key's combs -- -Q_pub's, and each R_i's --
+  built by keygen, ``Scheme.load_public`` or else the key's first request.
 
 Each scheme is one ``Scheme`` object in the ``SCHEMES`` registry: its
 protocol functions, its key check and the wire layouts of its documents.
@@ -47,13 +50,17 @@ from .curve import (
     ExtendedPoint,
     check_point,
     multi_scalar_mul,
+    point_add,
     point_comb,
     point_equal,
     point_negate,
     scalar_mul,  # not called here; perfbench's traced run wraps it by this name
     to_affine,
 )
-from .field import Comb, Q, encode32, mod_comb, mod_inv, mod_pow, multi_mod_pow, sc_reduce_wide
+from .field import (
+    Comb, Q, Subsets, encode32, mod_comb, mod_inv, mod_pow, multi_mod_pow, sc_reduce_wide,
+    subsets,
+)
 
 MAX_ATTRIBUTES = 10
 
@@ -209,16 +216,30 @@ def check_ecc_key(key: EccIssuerKey) -> None:
         raise InconsistentKey("public is not secret * B")
 
 
+@functools.cache  # one per attribute count, kept for the process
+def commit_table(count: int) -> Subsets:
+    """The subset sums of H_0..H_{count-1}, for ecc_commit: 2^count - count - 1
+    point additions, once."""
+    return subsets(map(derive_generator, range(count)), point_add)
+
+
 def ecc_commit(attrs: tuple[int, ...]) -> ExtendedPoint:
-    """C = sum(a_i * H_i) over a checked tuple, as one multi-scalar multiplication."""
-    return multi_scalar_mul((a, derive_generator(i)) for i, a in enumerate(attrs))
+    """C = sum(a_i * H_i) over a checked tuple, as one multi-scalar
+    multiplication on the kept commit_table of its attribute count."""
+    return multi_scalar_mul([(attrs, commit_table(len(attrs)))])
+
+
+@functools.lru_cache(maxsize=1)  # kept for the latest ecc160 key only, as ecc_comb
+def _public_bytes(public: ExtendedPoint) -> bytes:
+    """point_bytes of an issuer's public point, for _challenge."""
+    return point_bytes(public)
 
 
 def _challenge(public: ExtendedPoint, commitment: ExtendedPoint,
                nonce_point: ExtendedPoint, attrs) -> int:
     digest = hashlib.sha256(
         _TAG_SIGNATURE
-        + point_bytes(public)
+        + _public_bytes(public)
         + point_bytes(commitment)
         + point_bytes(nonce_point)
         + encode_attributes(attrs)

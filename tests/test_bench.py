@@ -1,5 +1,6 @@
 import json
 import logging
+import random
 import socket
 import sys
 import time
@@ -152,6 +153,41 @@ class TestRunBenchmark:
         assert [(r.scheme, r.run_index) for r in records[::2]] == [
             ("ecc160", 0), ("modexp1024", 0), ("ecc160", 1), ("modexp1024", 1)]
 
+    def test_no_timed_phase_builds_a_system_table(self, monkeypatch):
+        # Each cell's untimed warm-up derives the generators and builds the
+        # commit_table of its count; the timed phases find them kept.
+        scheme.derive_generator.cache_clear()
+        scheme.commit_table.cache_clear()
+        builds = []
+
+        def misses():
+            return [kept.cache_info().misses
+                    for kept in (scheme.commit_table, scheme.derive_generator)]
+
+        def timed(action):
+            before = misses()
+            result = time_phase(action)
+            builds.append(misses() != before)
+            return result
+
+        monkeypatch.setattr(bench, "time_phase", timed)
+        config = BenchConfig(attr_counts=(5, 10), runs=2, seed=4)
+        assert len(run_benchmark(config)) == 16
+        # Per count: the warm-up's four phases, the first of them building.
+        assert builds == ([True] + [False] * 11) * 2
+
+    def test_warm_up_draws_nothing_from_the_seeded_rng(self):
+        config = BenchConfig(attr_counts=(1, 5), runs=2, seed=11)
+        rng = random.Random(11)
+        want = []
+        for count in config.attr_counts:
+            attrs = scheme.DEFAULT_ATTRIBUTES[:count]
+            for _ in range(config.runs):
+                for name in config.schemes:
+                    cred = scheme.issue(name, scheme.keygen(name, rng), attrs, rng)
+                    want += [bench._fingerprint(wire.credential_to_wire(name, cred))] * 2
+        assert [r.cred_sha256 for r in run_benchmark(config)] == want
+
     def test_over_wire_mode(self, threaded_services):
         key = scheme.ecc_keygen()
         issuer_ep, verifier_ep = threaded_services({"ecc160": key}, {"ecc160": key.public})
@@ -280,5 +316,6 @@ class TestReports:
         config = BenchConfig(schemes=("ecc160",), attr_counts=(1,), runs=2, seed=6)
         records = run_benchmark(config)
         path = tmp_path / "records.json"
-        save_records(path, config, records)
+        with open(path, "w", encoding="utf-8") as stream:
+            save_records(stream, config, records)
         assert load_records(path) == records

@@ -578,6 +578,25 @@ class TestBenchAndReport:
         for line, name in zip(errors, ("records.json", "report.csv")):
             assert line.startswith("error: ") and line.endswith(f"'{missing / name}'")
 
+    def test_bench_out_that_cannot_be_opened_exits_3_before_the_grid(
+            self, tmp_path, monkeypatch, capsys):
+        def refuse(config, errors):
+            raise AssertionError("the grid may not run")
+
+        monkeypatch.setattr(bench, "run_benchmark", refuse)
+        assert run_cli("bench", "--runs", "1", "--attr-counts", "1",
+                       "--out", str(tmp_path / "missing" / "r.json")) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    def test_bench_out_replaces_an_existing_file(self, tmp_path):
+        records = tmp_path / "records.json"
+        records.write_text("x" * 100_000)
+        assert run_cli("bench", "--schemes", "ecc160", "--attr-counts", "1", "--runs", "1",
+                       "--out", str(records)) == 0
+        assert len(json.loads(records.read_text())["records"]) == 2
+
     def test_bench_without_memory_reading_exits_3(self, monkeypatch, capsys):
         def unsupported():
             raise bench.UnsupportedPlatform("no RSS reading available")
@@ -593,7 +612,7 @@ class TestBenchAndReport:
 
     GOOD_RECORD = {"scheme": "ecc160", "phase": "issue", "attr_count": 1, "run_index": 0,
                    "elapsed_ms": 1.5, "rss_mb_samples": [20.0], "cred_sha256": "ab"}
-    # A record with one ill-typed value each.
+    # A record with one ill-typed or out-of-range value each.
     ILL_TYPED = {
         "scheme-int": {**GOOD_RECORD, "scheme": 1},
         "phase-null": {**GOOD_RECORD, "phase": None},
@@ -615,6 +634,11 @@ class TestBenchAndReport:
         "phase-list": {**GOOD_RECORD, "phase": ["issue"]},
         "valid-str": {**GOOD_RECORD, "valid": "yes"},
         "valid-int": {**GOOD_RECORD, "valid": 0},
+        "scheme-unknown": {**GOOD_RECORD, "scheme": "rot13"},
+        "attr-count-negative": {**GOOD_RECORD, "attr_count": -4},
+        "attr-count-zero": {**GOOD_RECORD, "attr_count": 0},
+        "attr-count-past-max": {**GOOD_RECORD, "attr_count": 11},
+        "run-index-negative": {**GOOD_RECORD, "run_index": -1},
     }
 
     @pytest.mark.parametrize("text", [

@@ -18,6 +18,7 @@ from abclab.curve import (
     from_affine,
     multi_scalar_mul,
     point_add,
+    point_comb,
     point_double,
     point_equal,
     point_negate,
@@ -25,7 +26,7 @@ from abclab.curve import (
     scalar_mul_counted,
     to_affine,
 )
-from abclab.field import STRAUS_GROUP, ZeroInverse
+from abclab.field import STRAUS_GROUP, ZeroInverse, subsets
 
 import oracles
 
@@ -370,6 +371,35 @@ class TestMultiScalarMul:
             point_op_counts.update(double=0, add=0)
             multi_scalar_mul([(k, BASE) for k in scalars])
             assert (point_op_counts["double"], point_op_counts["add"]) == straus_counts(scalars)
+
+    def test_kept_subsets_term(self, point_op_counts):
+        # One group over the kept table, so the call adds nothing to it: one
+        # addition per bit position where some scalar has a 1, minus 1.
+        rng = random.Random(0x5B5)
+        points = [random_point(rng) for _ in range(7)]
+        kept = subsets(points, point_add)
+        scalars = [rng.getrandbits(rng.randrange(1, 200)) for _ in points]
+        scalars[2] = 0
+        point_op_counts.update(double=0, add=0)
+        got = multi_scalar_mul([(scalars, kept)])
+        top = max(k.bit_length() for k in scalars)
+        columns = sum(1 for i in range(top) if any(k >> i & 1 for k in scalars))
+        assert (point_op_counts["double"], point_op_counts["add"]) == (top - 1, columns - 1)
+        assert tuple(to_affine(got)) == per_term_oracle(zip(scalars, points))
+        # Fewer scalars than points, beside a per-call and a comb term.
+        k1, k2 = rng.randrange(Q), rng.randrange(Q)
+        got = multi_scalar_mul([(k1, points[0]), (scalars[:3], kept), (k2, point_comb(BASE))])
+        want = per_term_oracle([(k1, points[0]), *zip(scalars[:3], points), (k2, BASE)])
+        assert tuple(to_affine(got)) == want
+
+    def test_kept_subsets_term_edge_cases(self):
+        kept = subsets([BASE, scalar_mul(3, BASE)], point_add)
+        assert point_equal(multi_scalar_mul([([0, 0], kept)]), NEUTRAL)
+        assert point_equal(multi_scalar_mul([([0, 0], kept), (2, BASE)]), scalar_mul(2, BASE))
+        assert point_equal(multi_scalar_mul([([Q - 1, 1], kept)]), scalar_mul(2, BASE))
+        for exps in ([1, 2, 3], [1, -1]):
+            with pytest.raises(ValueError):
+                multi_scalar_mul([(exps, kept)])
 
     def test_group_of_five_by_hand(self, point_op_counts):
         # Scalars 8, 6, 1, 4, 9: the columns at bits 3..0 are 0b10001,

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import random
 
@@ -16,7 +17,7 @@ from abclab.curve import (
     scalar_mul,
     to_affine,
 )
-from abclab.field import P, Q, mod_inv, mod_pow
+from abclab.field import P, Q, mod_inv, mod_pow, sc_reduce_wide
 from abclab.scheme import (
     DEFAULT_ATTRIBUTES,
     AttributeOutOfRange,
@@ -152,6 +153,19 @@ class TestEccCommit:
             rhs = point_add(ecc_commit([a]), ecc_commit([b]))
             assert point_equal(lhs, rhs)
 
+    @pytest.mark.parametrize("count", range(1, scheme.MAX_ATTRIBUTES + 1))
+    def test_kept_table_matches_the_sum_of_single_multiples(self, count):
+        # Each slot holds 0, q - 1, a value of up to 252 bits or one of up to
+        # 64, taken in turn, so every count mixes widths and edge values.
+        rng = random.Random(count)
+        kinds = (lambda: 0, lambda: Q - 1, lambda: rng.getrandbits(rng.randrange(1, 253)),
+                 lambda: rng.getrandbits(rng.randrange(1, 65)))
+        attrs = [kinds[(i + count) % len(kinds)]() for i in range(count)]
+        want = NEUTRAL
+        for i, a in enumerate(attrs):
+            want = point_add(want, scalar_mul(a, derive_generator(i)))
+        assert point_equal(ecc_commit(attrs), want)
+
 
 class TestEccIssueVerify:
     def test_round_trip(self, ecc_key):
@@ -205,12 +219,35 @@ class TestEccIssueVerify:
             ecc_verify(ecc_key.public._replace(X=(ecc_key.public.X + 1) % P), cred)
 
 
+# Full-width attribute values, as a scheme that hashes its attributes into
+# [0, q) would commit to: 250 to 252 bits, where the fixtures have 36 to 109.
+FULL_WIDTH_ATTRIBUTES = tuple(
+    sc_reduce_wide(hashlib.sha256(b"abc-wide-v1" + bytes([i])).digest()) for i in range(10))
+
+
+class TestChallengeInversions:
+    """The issuer's public point is encoded once per key: each challenge then
+    inverts only the commitment's and the nonce point's Z."""
+
+    @pytest.mark.parametrize("phase", ["issue", "verify"])
+    def test_two_fe_inv_per_request(self, ecc_key, monkeypatch, phase):
+        cred = ecc_issue(ecc_key, DEFAULT_ATTRIBUTES[:2], random.Random(3))
+        calls = []
+        real = curve.fe_inv
+        monkeypatch.setattr(curve, "fe_inv", lambda a: calls.append(a) or real(a))
+        if phase == "issue":
+            ecc_issue(ecc_key, DEFAULT_ATTRIBUTES[:2], random.Random(3))
+        else:
+            assert ecc_verify(ecc_key.public, cred)
+        assert len(calls) == 2
+
+
 class TestEccPointOpCounts:
     """The doublings and additions of the ecc160 products, pinned: they are
     the same on every host, and they follow the multi_scalar_mul rule.  The
-    key comes from keygen, which builds its comb tables, and every point
-    operation of a request falls inside the pinned calls, so no request
-    builds a table."""
+    key comes from keygen, which builds its comb tables, the fixture builds
+    each attribute count's commit_table, and every point operation of a
+    request falls inside the pinned calls, so no request builds a table."""
 
     @pytest.fixture
     def key(self):
@@ -230,7 +267,8 @@ class TestEccPointOpCounts:
                           point_op_counts["add"] - before[1]))
             return result
 
-        ecc_commit(DEFAULT_ATTRIBUTES)  # derive and cache the generators first
+        for count in range(1, scheme.MAX_ATTRIBUTES + 1):  # keep every commit_table first
+            ecc_commit(DEFAULT_ATTRIBUTES[:count])
         point_op_counts.update(double=0, add=0)
         monkeypatch.setattr(scheme, "multi_scalar_mul", counted)
         return calls
@@ -240,11 +278,20 @@ class TestEccPointOpCounts:
         assert calls == pins
         assert (point_op_counts["double"], point_op_counts["add"]) == tuple(map(sum, zip(*pins)))
 
-    # Summed popcounts - 1 would be 30, 128 and 309 additions; the groups
-    # of five pay 26 table additions each and save more than that.
-    @pytest.mark.parametrize("count, ops", [(1, (61, 30)), (5, (70, 91)), (10, (108, 202))])
+    # One group over the kept table: one addition per bit position where
+    # some attribute has a 1, minus 1.  Summed popcounts - 1 would be 30,
+    # 128 and 309 additions; per-call groups of five paid 26 table additions
+    # each on top, (70, 91) and (108, 202) at 5 and 10 attributes.
+    @pytest.mark.parametrize("count, ops", [(1, (61, 30)), (5, (70, 65)), (10, (108, 92))])
     def test_commitment_on_fixture_attributes(self, per_call, point_op_counts, count, ops):
         ecc_commit(DEFAULT_ATTRIBUTES[:count])
+        self.assert_pinned(per_call, point_op_counts, [ops])
+
+    # Past 5 attributes nearly every one of the 251 columns is non-empty;
+    # per-call groups of five gave (251, 268) and (251, 539) at 5 and 10.
+    @pytest.mark.parametrize("count, ops", [(1, (251, 128)), (5, (251, 242)), (10, (251, 251))])
+    def test_commitment_on_full_width_attributes(self, per_call, point_op_counts, count, ops):
+        ecc_commit(FULL_WIDTH_ATTRIBUTES[:count])
         self.assert_pinned(per_call, point_op_counts, [ops])
 
     def test_issue_nonce(self, key, per_call, point_op_counts):
@@ -363,7 +410,14 @@ class TestCombs:
 
 
 class TestKeptTables:
-    """Beside B's comb, each scheme keeps the combs of its latest key only."""
+    """Beside B's comb and one commit_table per attribute count, each scheme
+    keeps the combs of its latest key only."""
+
+    def test_one_commit_table_per_attribute_count(self):
+        table = scheme.commit_table(3)
+        assert scheme.commit_table(3) is table
+        assert table.count == 3 and len(table.table) == 8
+        assert point_equal(table.table[0b101], point_add(derive_generator(0), derive_generator(2)))
 
     @pytest.mark.parametrize("name, load, material", [
         ("ecc160", scheme.ecc_comb, lambda key: key.public),
