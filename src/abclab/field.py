@@ -6,10 +6,10 @@ Euclid (``mod_inv``).  Exponentiation is the package's one square-and-combine
 loop, ``straus``: Straus's simultaneous method over any group given its
 combine and square.  ``multi_mod_pow`` (whose one-term case is ``mod_pow``)
 runs it mod m, and the curve's ``multi_scalar_mul`` on points.  Both loops
-are explicit interpreted code with no built-in pow.  Each call builds its
-terms' subset tables, except for a ``Comb`` or ``Subsets`` term, whose
-table its caller built once and keeps.  All functions are pure and safe to
-call concurrently.
+are explicit interpreted code with no built-in pow.  No call builds a
+table: a ``Comb`` or ``Subsets`` term brings the one its caller built once
+and keeps, and any other term is its own one-entry table.  All functions
+are pure and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -22,10 +22,10 @@ P = 2**255 - 19
 # Order of the base point; modulus of the scalar ring.
 Q = 2**252 + 27742317777372353535851937790883648493
 
-# Terms per group in Straus's simultaneous method: a group of g terms
-# tabulates its 2^g - 1 subset combinations once per call, then pays at most
-# one table combine per bit position.
-STRAUS_GROUP = 5
+# Powers per comb: a Comb keeps the 2^5 - 1 subset combinations of five
+# powers of its element, so an exponent of b bits runs as five pieces of
+# ceil(b / 5) bits, with at most one combine per bit position of a piece.
+COMB_PIECES = 5
 
 
 class ZeroInverse(ZeroDivisionError):
@@ -104,10 +104,10 @@ def subsets(elems, combine) -> Subsets:
 
 def comb(elem, bits, combine, power) -> Comb:
     """A table to keep for elem (Lim and Lee, CRYPTO '94): the _subsets of its
-    powers elem^(2^(j*width)), j < STRAUS_GROUP, by power(a, e) = a^e."""
-    width = -(-bits // STRAUS_GROUP)
+    powers elem^(2^(j*width)), j < COMB_PIECES, by power(a, e) = a^e."""
+    width = -(-bits // COMB_PIECES)
     powers = [elem]
-    for _ in range(STRAUS_GROUP - 1):
+    for _ in range(COMB_PIECES - 1):
         powers.append(power(powers[-1], 1 << width))
     return Comb(width, _subsets(powers, combine))
 
@@ -120,23 +120,20 @@ def straus(terms, combine, square):
     exponent; ValueError for a negative exponent, one too wide for its Comb,
     or more exponents than a Subsets term's table has elements.
 
-    Terms whose exponents are all zero are dropped.  A Comb term is a group
-    of its own: its kept table, with its exponent's width-bit pieces as the
-    exponents of the powers.  A Subsets term is one too: its kept table,
-    with one exponent per tabulated element as its exponent.  The rest
-    split, in order, into groups of at most STRAUS_GROUP that tabulate their
-    subsets per call (_subsets).  All groups share one chain, top bit first:
-    square once per bit position below the top, and combine in each group's
-    subset of the exponents with that bit set, if not empty.  The first
-    selected entry starts the result, so a call costs 2^g - g - 1 table
-    combines per per-call group of g (a kept table, Comb or Subsets, makes
-    none), plus one per (bit position, group) whose subset is not empty,
-    minus 1; and max(bit_length) - 1 squarings over the exponents and comb
-    pieces.  A one-term call without a kept table has no table work:
-    bit_length - 1 squarings and popcount - 1 combines.
+    Terms whose exponents are all zero are dropped.  Each other term is a
+    group of its own, over a table no call builds: a Comb term's kept table,
+    with its exponent's width-bit pieces as the exponents of the powers; a
+    Subsets term's kept table, with one exponent per tabulated element as
+    its exponent; any other element's one-entry table [None, elem].  All
+    groups share one chain, top bit first: square once per bit position
+    below the top, and combine in each group's entry for the exponents with
+    that bit set, if any.  The first selected entry starts the result, so a
+    call costs max(bit_length) - 1 squarings over the exponents and comb
+    pieces, and one combine per (bit position, group) whose column is not
+    zero, minus 1.  No call makes a table combine.  A one-term call without
+    a kept table costs bit_length - 1 squarings and popcount - 1 combines.
     """
     groups = []   # (table, the exponent of each of its elements)
-    plain = []
     for exp, elem in terms:
         exps = tuple(exp) if isinstance(elem, Subsets) else (exp,)
         if any(e < 0 for e in exps):
@@ -148,15 +145,12 @@ def straus(terms, combine, square):
                 raise ValueError("more exponents than its table has elements")
             groups.append((elem.table, exps))
         elif isinstance(elem, Comb):
-            if exp >> STRAUS_GROUP * elem.width:
+            if exp >> COMB_PIECES * elem.width:
                 raise ValueError("exponent too wide for its comb")
             mask = (1 << elem.width) - 1
-            groups.append((elem.table, [exp >> j * elem.width & mask for j in range(STRAUS_GROUP)]))
+            groups.append((elem.table, [exp >> j * elem.width & mask for j in range(COMB_PIECES)]))
         else:
-            plain.append((exp, elem))
-    for start in range(0, len(plain), STRAUS_GROUP):
-        exps, elems = zip(*plain[start:start + STRAUS_GROUP])
-        groups.append((_subsets(elems, combine), exps))
+            groups.append(([None, elem], exps))
     if not groups:
         return None
     top = max(exp.bit_length() for _, exps in groups for exp in exps) - 1

@@ -47,6 +47,7 @@ from typing import Callable, NamedTuple
 
 from .curve import (
     BASE,
+    NEUTRAL,
     ExtendedPoint,
     check_point,
     multi_scalar_mul,
@@ -185,8 +186,13 @@ _B_COMB = point_comb(BASE)
 
 @functools.lru_cache(maxsize=1)  # kept for the latest ecc160 key only
 def ecc_comb(public: ExtendedPoint) -> Comb:
-    """The comb of -public, for ecc_verify; InvalidPoint unless public is on the curve."""
-    return point_comb(point_negate(check_point(public)))
+    """The comb of -public, for ecc_verify; InvalidPoint unless public is on
+    the curve, and InconsistentKey if 8 * public is the neutral point: c *
+    public then takes at most eight values, and at the neutral point z * B
+    passes as the nonce point for any z."""
+    if point_equal(multi_scalar_mul([(8, check_point(public))]), NEUTRAL):
+        raise InconsistentKey("public is a point of order dividing 8")
+    return point_comb(point_negate(public))
 
 
 @functools.cache
@@ -267,7 +273,7 @@ def ecc_verify(public: ExtendedPoint, cred: EccCredential) -> bool:
     across is exact in the group, so the verdict is the same for any
     on-curve inputs, small-order components included.
     """
-    public_comb = ecc_comb(public)  # InvalidPoint for a bad key, whatever the credential
+    public_comb = ecc_comb(public)  # raises for a bad key, whatever the credential
     try:
         check_point(cred.commitment)
         check_point(cred.nonce_point)
@@ -413,18 +419,33 @@ def check_modulus(n: int) -> None:
         raise InconsistentKey(f"n is not {MODULUS_BITS} bits")
 
 
+def check_public_exponent(public: ModexpPublic) -> None:
+    """Raise InconsistentKey unless e is odd with 2^PUBLIC_EXPONENT_MIN_BITS
+    <= e < n, rsa_keygen's rule.  An e of 1 accepts the representative as
+    its own signature, and a short e changes the cost profile that verify
+    measures."""
+    n, e = public
+    if not (e & 1 and 1 << PUBLIC_EXPONENT_MIN_BITS <= e < n):
+        raise InconsistentKey(f"e is not odd in [2^{PUBLIC_EXPONENT_MIN_BITS}, n)")
+
+
 def check_rsa_key(key: ModexpIssuerKey) -> None:
     """Raise InconsistentKey unless p1 != p2, n == p1 * p2, n has exactly
-    MODULUS_BITS bits and e * d == 1 mod lcm(p1 - 1, p2 - 1), which
-    rsa_issue's CRT and fdh rely on."""
+    MODULUS_BITS bits, e passes check_public_exponent and e * d == 1 mod
+    lcm(p1 - 1, p2 - 1), which rsa_issue's CRT and fdh rely on, and
+    d >= 2^PUBLIC_EXPONENT_MIN_BITS as rsa_keygen draws it: a short d
+    changes the cost profile that issue measures."""
     if key.p1 == key.p2:
         raise InconsistentKey("p1 == p2")
     if key.n != key.p1 * key.p2:
         raise InconsistentKey("n is not p1 * p2")
     check_modulus(key.n)
+    check_public_exponent(key.public)
     lam = math.lcm(key.p1 - 1, key.p2 - 1)
     if not lam or key.e * key.d % lam != 1:
         raise InconsistentKey("e * d is not 1 mod lcm(p1 - 1, p2 - 1)")
+    if key.d < 1 << PUBLIC_EXPONENT_MIN_BITS:
+        raise InconsistentKey(f"d is below 2^{PUBLIC_EXPONENT_MIN_BITS}")
 
 
 def _expand_1016(seed: bytes) -> int:
@@ -458,6 +479,14 @@ def rsa_combs(n: int) -> tuple[Comb, ...]:
     """The comb of each R_i of n; InconsistentKey unless n has MODULUS_BITS bits."""
     check_modulus(n)
     return tuple(mod_comb(derive_modexp_base(n, i), 256, n) for i in range(MAX_ATTRIBUTES))
+
+
+def load_rsa_public(public: ModexpPublic) -> tuple[Comb, ...]:
+    """The rsa_combs of a public key; InconsistentKey unless n has
+    MODULUS_BITS bits and e passes check_public_exponent."""
+    combs = rsa_combs(public.n)
+    check_public_exponent(public)
+    return combs
 
 
 def modexp_representative(attrs: tuple[int, ...], n: int) -> int:
@@ -550,7 +579,7 @@ ECC160 = Scheme(
 MODEXP1024 = Scheme(
     "modexp1024", rsa_keygen,
     lambda key, attrs, rng=None: rsa_issue(key, attrs),  # deterministic: draws no rng
-    rsa_verify, check_rsa_key, lambda public: rsa_combs(public.n),
+    rsa_verify, check_rsa_key, load_rsa_public,
     credential=Layout({"signature": Hex(256)}, ModexpCredential),
     public=Layout({"n": Hex(256), "e": Hex(256)}, ModexpPublic),
     key=Layout({"p1": Hex(128), "p2": Hex(128), "n": Hex(256), "e": Hex(256),

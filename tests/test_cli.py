@@ -14,7 +14,7 @@ import pytest
 
 from abclab import bench, scheme, wire
 from abclab.cli import main
-from abclab.curve import BASE
+from abclab.curve import BASE, NEUTRAL, scalar_mul
 
 SRC = Path(wire.__file__).resolve().parents[1]
 
@@ -116,6 +116,25 @@ class TestIssueVerify:
         pub.write_text(json.dumps(wire.public_to_wire("modexp1024", scheme.ModexpPublic(15, 1))))
         assert run_cli("verify", "--cred", str(cred), "--pub", str(pub)) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("name", scheme.SCHEME_NAMES)
+    def test_pub_file_anyone_could_forge_under_exits_1(self, tmp_path, key_files, capsys, name):
+        # Under e = 1 the representative is its own signature; under the
+        # neutral point any z * B passes as the nonce point.
+        attrs = (5,)
+        doc = json.loads(key_files[name][1].read_text())
+        if name == "modexp1024":
+            doc["e"] = format(1, "0256x")
+            rep = scheme.modexp_representative(attrs, int(doc["n"], 16))
+            forged = scheme.ModexpCredential(attrs, rep)
+        else:
+            doc["public"] = wire.encode_point(NEUTRAL)
+            forged = scheme.EccCredential(attrs, scheme.ecc_commit(attrs), scalar_mul(7, BASE), 7)
+        cred, pub = tmp_path / "cred.json", tmp_path / "pub.json"
+        cred.write_text(json.dumps(wire.credential_to_wire(name, forged)))
+        pub.write_text(json.dumps(doc))
+        assert run_cli("verify", "--cred", str(cred), "--pub", str(pub)) == 1
+        assert "inconsistent" in capsys.readouterr().err
 
     def test_cred_file_holding_a_list_exits_1(self, tmp_path, ecc_key_file, capsys):
         cred = tmp_path / "cred.json"

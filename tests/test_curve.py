@@ -26,7 +26,7 @@ from abclab.curve import (
     scalar_mul_counted,
     to_affine,
 )
-from abclab.field import STRAUS_GROUP, ZeroInverse, subsets
+from abclab.field import ZeroInverse, subsets
 
 import oracles
 
@@ -307,28 +307,23 @@ def per_term_oracle(terms):
 
 
 def straus_counts(scalars):
-    """(doublings, additions) of multi_scalar_mul by field.straus's rule: the
-    non-zero scalars form consecutive groups of at most STRAUS_GROUP; each
-    group of g builds 2^g - g - 1 table additions, then adds once per bit
-    position where its column is not zero; the first entry is free."""
+    """(doublings, additions) of multi_scalar_mul by field.straus's rule: each
+    non-zero scalar is a group of its own over a one-entry table, so it adds
+    once per set bit; the chain doubles once per bit below the top, and the
+    first entry is free."""
     scalars = [k for k in scalars if k]
     top = max(k.bit_length() for k in scalars)
-    adds = -1
-    for start in range(0, len(scalars), STRAUS_GROUP):
-        group = scalars[start:start + STRAUS_GROUP]
-        adds += 2 ** len(group) - len(group) - 1
-        adds += sum(1 for i in range(top) if any((k >> i) & 1 for k in group))
-    return top - 1, adds
+    return top - 1, sum(bin(k).count("1") for k in scalars) - 1
 
 
 class TestMultiScalarMul:
     # Up to 45 ms per full-width affine multiplication: scalars below 2^128
-    # keep 15 examples of up to 11 terms (three groups) to about 4 s.
+    # keep 15 examples of up to 11 terms to about 4 s.
     @settings(max_examples=15, deadline=None)
     @given(st.lists(
         st.tuples(st.integers(min_value=0, max_value=(1 << 128) - 1),
                   st.integers(min_value=1, max_value=Q - 1).map(lambda h: scalar_mul(h, BASE))),
-        min_size=1, max_size=2 * STRAUS_GROUP + 1))
+        min_size=1, max_size=11))
     def test_matches_per_term_oracle(self, terms):
         got = multi_scalar_mul(terms)
         assert_valid(got)
@@ -336,9 +331,9 @@ class TestMultiScalarMul:
 
     def test_three_groups_of_full_width_scalars(self):
         rng = random.Random(0x57A)
-        terms = [(rng.randrange(Q), random_point(rng)) for _ in range(2 * STRAUS_GROUP + 1)]
-        terms[3] = (terms[3][0], terms[8][1])  # one point in two groups
-        terms.insert(6, (0, BASE))  # dropped before grouping
+        terms = [(rng.randrange(Q), random_point(rng)) for _ in range(11)]
+        terms[3] = (terms[3][0], terms[8][1])  # one point in two terms
+        terms.insert(6, (0, BASE))  # dropped before the chain
         got = multi_scalar_mul(terms)
         assert_valid(got)
         assert tuple(to_affine(got)) == per_term_oracle(terms)
@@ -363,9 +358,9 @@ class TestMultiScalarMul:
                 multi_scalar_mul(terms)
 
     def test_shares_one_doubling_chain(self, point_op_counts):
-        # Zero scalars are dropped before grouping, so one is mixed in.
+        # Zero scalars are dropped before the chain, so one is mixed in.
         rng = random.Random(12)
-        for count in (1, 2, STRAUS_GROUP, STRAUS_GROUP + 1, 10, 12):
+        for count in (1, 2, 5, 6, 10, 12):
             scalars = [rng.randrange(1, 1 << rng.randrange(1, 120)) for _ in range(count)]
             scalars.insert(count // 2, 0)
             point_op_counts.update(double=0, add=0)
@@ -401,10 +396,9 @@ class TestMultiScalarMul:
             with pytest.raises(ValueError):
                 multi_scalar_mul([(exps, kept)])
 
-    def test_group_of_five_by_hand(self, point_op_counts):
-        # Scalars 8, 6, 1, 4, 9: the columns at bits 3..0 are 0b10001,
-        # 0b01010, 0b00010 and 0b10100, all non-zero, so 3 doublings and
-        # 26 table additions + 4 - 1.
+    def test_five_terms_by_hand(self, point_op_counts):
+        # Scalars 8, 6, 1, 4, 9, one group each: 3 doublings below the top
+        # bit of 8 and 9, and one addition per set bit, 7, minus 1.
         got = multi_scalar_mul([(k, BASE) for k in (8, 6, 1, 4, 9)])
-        assert (point_op_counts["double"], point_op_counts["add"]) == (3, 29)
+        assert (point_op_counts["double"], point_op_counts["add"]) == (3, 6)
         assert point_equal(got, scalar_mul(28, BASE))

@@ -7,7 +7,6 @@ from abclab import field
 from abclab.field import (
     P,
     Q,
-    STRAUS_GROUP,
     BadModulus,
     ZeroInverse,
     encode32,
@@ -130,13 +129,13 @@ class TestModPow:
 class TestMultiModPow:
     # A pool of at most four bases makes repeated bases likely; bases reach
     # past the modulus, exponents are often 0 or 1 next to 1024-bit ones,
-    # and up to 11 terms fill three groups.
+    # and up to 11 terms share one chain.
     @given(
         st.lists(st.integers(min_value=0, max_value=1 << 1100), min_size=1, max_size=4),
         st.lists(st.tuples(st.integers(min_value=0, max_value=3),
                            st.one_of(st.just(0), st.just(1),
                                      st.integers(min_value=0, max_value=1 << 1024))),
-                 min_size=1, max_size=2 * STRAUS_GROUP + 1),
+                 min_size=1, max_size=11),
         st.one_of(st.just(2), st.integers(min_value=2, max_value=1 << 1024)),
     )
     @example([3, M1024 + 5], [(0, 1), (1, (1 << 1024) - 1)], M1024)
@@ -152,8 +151,8 @@ class TestMultiModPow:
     def test_three_groups_with_shared_bases(self):
         rng = random.Random(0x5EA)
         bases = [rng.randrange(M1024) for _ in range(4)]
-        terms = [(bases[i % 4], rng.getrandbits(256)) for i in range(2 * STRAUS_GROUP + 1)]
-        terms.insert(4, (bases[0], 0))  # dropped before grouping
+        terms = [(bases[i % 4], rng.getrandbits(256)) for i in range(11)]
+        terms.insert(4, (bases[0], 0))  # dropped before the chain
         want = 1
         for base, exp in terms:
             want = want * pow(base, exp, M1024) % M1024

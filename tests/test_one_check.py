@@ -7,14 +7,13 @@ check_modulus runs where a key is loaded and where a modulus's tables are
 built, never per request.  A failed read or write is an OSError, which
 cli.main alone turns into exit 3: no package error type wraps one."""
 
-import ast
 import importlib
 import inspect
 from pathlib import Path
 
 import pytest
 
-from test_one_loop import called_name
+from test_one_loop import callers
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "abclab"
 
@@ -23,18 +22,6 @@ CALLERS = {
                          "scheme.py:rsa_verify", "wire.py:_handle_issue", "cli.py:_parse_attrs"},
     "check_modulus": {"scheme.py:check_rsa_key", "scheme.py:rsa_combs"},
 }
-
-
-def callers(name):
-    """module:function for each top-level function that calls name."""
-    found = set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        for top in ast.parse(path.read_text(encoding="utf-8")).body:
-            owner = top.name if isinstance(top, ast.FunctionDef) else "<module>"
-            if any(isinstance(node, ast.Call) and called_name(node) == name
-                   for node in ast.walk(top)):
-                found.add(f"{path.name}:{owner}")
-    return found
 
 
 @pytest.mark.parametrize("name", sorted(CALLERS))

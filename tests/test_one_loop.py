@@ -2,8 +2,10 @@
 scalar_mul, multi_mod_pow and multi_scalar_mul are calls with no loop of
 their own, and only multi_scalar_mul doubles points, so no second
 square-and-multiply or double-and-add loop can come back elsewhere in the
-package.  Nothing in the package calls the builtin pow, whose C loop would
-give one side a faster substrate than the other."""
+package.  Only the builders of kept tables, field.subsets and field.comb,
+tabulate subsets, so no call of the loop builds a table.  Nothing in the
+package calls the builtin pow, whose C loop would give one side a faster
+substrate than the other."""
 
 import ast
 from pathlib import Path
@@ -29,16 +31,25 @@ def test_single_term_forms_have_no_loop():
         assert not loops, f"{module}:{name} has a loop of its own"
 
 
-def test_only_multi_scalar_mul_doubles():
-    callers = []
+def callers(name):
+    """module:function for each top-level function that calls name."""
+    found = set()
     for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for top in tree.body:
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
             owner = top.name if isinstance(top, ast.FunctionDef) else "<module>"
-            callers += [f"{path.name}:{owner}" for node in ast.walk(top)
-                        if isinstance(node, ast.Call) and called_name(node) == "point_double"
-                        and owner != "multi_scalar_mul"]
-    assert not callers, f"point_double called outside multi_scalar_mul: {callers}"
+            if any(isinstance(node, ast.Call) and called_name(node) == name
+                   for node in ast.walk(top)):
+                found.add(f"{path.name}:{owner}")
+    return found
+
+
+def test_only_multi_scalar_mul_doubles():
+    outside = callers("point_double") - {"curve.py:multi_scalar_mul"}
+    assert not outside, f"point_double called outside multi_scalar_mul: {sorted(outside)}"
+
+
+def test_only_kept_table_builders_tabulate_subsets():
+    assert callers("_subsets") == {"field.py:comb", "field.py:subsets"}
 
 
 def test_no_call_to_pow():

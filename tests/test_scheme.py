@@ -615,6 +615,14 @@ class TestCheckRsaKey:
         with pytest.raises(scheme.InconsistentKey, match="p1 == p2"):
             scheme.check_rsa_key(key)
 
+    @pytest.mark.parametrize("short, message", [("e", "e is not odd"), ("d", "d is below")])
+    def test_short_exponent_rejected(self, rsa_key, short, message):
+        # Consistent in n and e*d, but off rsa_keygen's exponent rules.
+        inverse = mod_inv(65537, math.lcm(rsa_key.p1 - 1, rsa_key.p2 - 1))
+        exponents = {"e": 65537, "d": inverse} if short == "e" else {"e": inverse, "d": 65537}
+        with pytest.raises(scheme.InconsistentKey, match=message):
+            scheme.check_rsa_key(dataclasses.replace(rsa_key, **exponents))
+
 
 class TestFdh:
     def test_deterministic(self):

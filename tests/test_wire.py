@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import logging
+import math
 import random
 import socket
 import struct
@@ -12,8 +13,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from abclab import scheme, wire
-from abclab.curve import BASE, BASE_X, BASE_Y, NEUTRAL, point_add, point_equal, scalar_mul
-from abclab.field import Q
+from abclab.curve import (
+    BASE, BASE_X, BASE_Y, NEUTRAL, ExtendedPoint, point_add, point_equal, scalar_mul,
+)
+from abclab.field import P, Q, mod_inv
 from abclab.wire import (
     ConnectionFailed,
     Envelope,
@@ -265,6 +268,31 @@ class TestKeyCodec:
         doc = public_to_wire("modexp1024", scheme.ModexpPublic(n, 1))
         with pytest.raises(MalformedCredential, match="n is not 1024 bits"):
             public_from_wire(doc)
+
+    # Off rsa_keygen's exponent rule (odd, 2^1000 <= e < n), or a point whose
+    # order divides 8: under e = 1, or the neutral point, anyone can forge.
+    @pytest.mark.parametrize("name, forgeable", [
+        ("modexp1024", lambda key: key.public._replace(e=1)),
+        ("modexp1024", lambda key: key.public._replace(e=0)),
+        ("modexp1024", lambda key: key.public._replace(e=key.e + 1)),
+        ("modexp1024", lambda key: key.public._replace(e=key.n + 2)),
+        ("ecc160", lambda key: NEUTRAL),
+        ("ecc160", lambda key: ExtendedPoint(0, P - 1, 1, 0)),
+    ], ids=["e-1", "e-0", "e-even", "e-not-below-n", "neutral-point", "order-2-point"])
+    def test_forgeable_public_key_rejected(self, name, forgeable, ecc_key, rsa_key):
+        key = {"ecc160": ecc_key, "modexp1024": rsa_key}[name]
+        with pytest.raises(MalformedCredential, match="inconsistent"):
+            public_from_wire(public_to_wire(name, forgeable(key)))
+
+    @pytest.mark.parametrize("short", ["e", "d"])
+    def test_consistent_key_off_the_keygen_profile_rejected(self, rsa_key, short):
+        # e * d == 1 mod lcm(p1 - 1, p2 - 1) holds, but a 17-bit e or d would
+        # make verify or issue time a short exponentiation, not a full-width one.
+        inverse = mod_inv(65537, math.lcm(rsa_key.p1 - 1, rsa_key.p2 - 1))
+        exponents = {"e": 65537, "d": inverse} if short == "e" else {"e": inverse, "d": 65537}
+        doc = key_to_wire("modexp1024", dataclasses.replace(rsa_key, **exponents))
+        with pytest.raises(MalformedCredential, match="inconsistent"):
+            key_from_wire(doc)
 
     def test_public_round_trip(self, ecc_key, rsa_key):
         name, pub = public_from_wire(public_to_wire("ecc160", ecc_key.public))
