@@ -164,8 +164,8 @@ def run_benchmark(config: BenchConfig, errors: list | None = None) -> list[Bench
     cells that a ratio row compares are measured in the same stretch of
     time and host drift cannot favour one scheme.  In-process mode
     regenerates the issuer key for every run, so only the system parameters
-    and the attribute values stay fixed across runs; keygen builds its
-    comb tables, so the phase times exclude them.  Over-wire mode talks
+    and the attribute values stay fixed across runs; keygen builds all of
+    the key's kept state, so the phase times exclude it.  Over-wire mode talks
     to long-lived services, whose keys were fixed at service start; elapsed
     times are then client-side round trips.
 

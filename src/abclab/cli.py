@@ -54,10 +54,10 @@ def _parse_attrs(args) -> tuple[int, ...]:
 
 
 def _int_list(text) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"must be comma-separated integers, got {text!r}")
+    parts = text.split(",")
+    if not all(map(wire._DECIMAL.fullmatch, parts)):
+        raise argparse.ArgumentTypeError(f"must be comma-separated decimal integers, got {text!r}")
+    return tuple(map(int, parts))  # argparse reports int()'s ValueError past its digit limit
 
 
 def _read_json(path):

@@ -23,8 +23,9 @@ z*B - c*Q_pub.  No request builds a table; the kept ones are:
 - per attribute count k, the 2^k subset sums of the system parameters
   H_0..H_{k-1} (``field.Subsets``), built on the first commitment to k
   attributes: the k terms then add at most once per bit position;
-- per scheme, the latest key's combs -- -Q_pub's, and each R_i's --
-  built by keygen, ``Scheme.load_public`` or else the key's first request.
+- per scheme, the latest key's state -- -Q_pub's comb and point_bytes, or
+  each R_i's comb -- in ``Scheme.load_public``, its one per-key cache, which
+  checks the key; keygen and the loaders fill it, issue and verify read it.
 
 Each scheme is one ``Scheme`` object in the ``SCHEMES`` registry: its
 protocol functions, its key check and the wire layouts of its documents.
@@ -185,14 +186,15 @@ _B_COMB = point_comb(BASE)
 
 
 @functools.lru_cache(maxsize=1)  # kept for the latest ecc160 key only
-def ecc_comb(public: ExtendedPoint) -> Comb:
-    """The comb of -public, for ecc_verify; InvalidPoint unless public is on
-    the curve, and InconsistentKey if 8 * public is the neutral point: c *
-    public then takes at most eight values, and at the neutral point z * B
-    passes as the nonce point for any z."""
+def load_ecc_public(public: ExtendedPoint) -> tuple[Comb, bytes]:
+    """The comb of -public, for ecc_verify, and point_bytes(public), for
+    _challenge; InvalidPoint unless public is on the curve, and
+    InconsistentKey if 8 * public is the neutral point: c * public then
+    takes at most eight values, and at the neutral point z * B passes as
+    the nonce point for any z."""
     if point_equal(multi_scalar_mul([(8, check_point(public))]), NEUTRAL):
         raise InconsistentKey("public is a point of order dividing 8")
-    return point_comb(point_negate(public))
+    return point_comb(point_negate(public)), point_bytes(public)
 
 
 @functools.cache
@@ -212,7 +214,7 @@ def ecc_keygen(rng=None) -> EccIssuerKey:
     rng = rng or _SYSTEM_RNG
     x = rng.randrange(1, Q)
     key = EccIssuerKey(secret=x, public=multi_scalar_mul([(x, _B_COMB)]))
-    ecc_comb(key.public)
+    load_ecc_public(key.public)
     return key
 
 
@@ -235,17 +237,11 @@ def ecc_commit(attrs: tuple[int, ...]) -> ExtendedPoint:
     return multi_scalar_mul([(attrs, commit_table(len(attrs)))])
 
 
-@functools.lru_cache(maxsize=1)  # kept for the latest ecc160 key only, as ecc_comb
-def _public_bytes(public: ExtendedPoint) -> bytes:
-    """point_bytes of an issuer's public point, for _challenge."""
-    return point_bytes(public)
-
-
 def _challenge(public: ExtendedPoint, commitment: ExtendedPoint,
                nonce_point: ExtendedPoint, attrs) -> int:
     digest = hashlib.sha256(
         _TAG_SIGNATURE
-        + _public_bytes(public)
+        + load_ecc_public(public)[1]
         + point_bytes(commitment)
         + point_bytes(nonce_point)
         + encode_attributes(attrs)
@@ -273,7 +269,7 @@ def ecc_verify(public: ExtendedPoint, cred: EccCredential) -> bool:
     across is exact in the group, so the verdict is the same for any
     on-curve inputs, small-order components included.
     """
-    public_comb = ecc_comb(public)  # raises for a bad key, whatever the credential
+    public_comb = load_ecc_public(public)[0]  # raises for a bad key, whatever the credential
     try:
         check_point(cred.commitment)
         check_point(cred.nonce_point)
@@ -409,7 +405,7 @@ def rsa_keygen(rng=None) -> ModexpIssuerKey:
             break
     key = ModexpIssuerKey(p1=p1, p2=p2, n=n, e=e, d=d)
     check_rsa_key(key)
-    rsa_combs(n)
+    load_rsa_public(key.public)
     return key
 
 
@@ -475,29 +471,26 @@ def _attr_digest(i: int, value: int) -> int:
 
 
 @functools.lru_cache(maxsize=1)  # kept for the latest modexp1024 key only
-def rsa_combs(n: int) -> tuple[Comb, ...]:
-    """The comb of each R_i of n; InconsistentKey unless n has MODULUS_BITS bits."""
+def load_rsa_public(public: ModexpPublic) -> tuple[Comb, ...]:
+    """What a request needs of a public key: the comb of each R_i, for
+    modexp_representative.  InconsistentKey unless n has MODULUS_BITS bits
+    and e passes check_public_exponent."""
+    n = public.n
     check_modulus(n)
+    check_public_exponent(public)
     return tuple(mod_comb(derive_modexp_base(n, i), 256, n) for i in range(MAX_ATTRIBUTES))
 
 
-def load_rsa_public(public: ModexpPublic) -> tuple[Comb, ...]:
-    """The rsa_combs of a public key; InconsistentKey unless n has
-    MODULUS_BITS bits and e passes check_public_exponent."""
-    combs = rsa_combs(public.n)
-    check_public_exponent(public)
-    return combs
-
-
-def modexp_representative(attrs: tuple[int, ...], n: int) -> int:
+def modexp_representative(attrs: tuple[int, ...], public: ModexpPublic) -> int:
     """fdh(attrs) * prod(R_i ^ digest(a_i)) mod n for a checked tuple: the
-    signed quantity.  InconsistentKey unless n has MODULUS_BITS bits.
+    signed quantity.  InconsistentKey unless load_rsa_public accepts public.
 
     One 256-bit-exponent term per attribute, computed as one
     multi-exponentiation, makes both protocol phases scale with attribute
     count.
     """
-    combs = rsa_combs(n)
+    n = public.n
+    combs = load_rsa_public(public)
     terms = [(combs[i], _attr_digest(i, a)) for i, a in enumerate(attrs)]
     return fdh(attrs) * multi_mod_pow(terms, n) % n
 
@@ -514,7 +507,7 @@ def rsa_issue(key: ModexpIssuerKey, attrs) -> ModexpCredential:
     check (verifying the signature before returning it) is out of scope.
     """
     attrs = check_attributes(attrs)
-    rep = modexp_representative(attrs, key.n)
+    rep = modexp_representative(attrs, key.public)
     p1, p2 = key.p1, key.p2
     sig1 = mod_pow(rep, key.d % (p1 - 1), p1)
     sig2 = mod_pow(rep, key.d % (p2 - 1), p2)
@@ -523,15 +516,15 @@ def rsa_issue(key: ModexpIssuerKey, attrs) -> ModexpCredential:
 
 
 def rsa_verify(public: ModexpPublic, cred: ModexpCredential) -> bool:
+    load_rsa_public(public)  # InconsistentKey for a bad key, whatever the credential
     n, e = public
-    rsa_combs(n)  # InconsistentKey for a bad n, whatever the credential, as in ecc_verify
     try:
         attrs = check_attributes(cred.attributes)
     except ValueError:
         return False
     if not 0 < cred.signature < n:
         return False
-    return mod_pow(cred.signature, e, n) == modexp_representative(attrs, n)
+    return mod_pow(cred.signature, e, n) == modexp_representative(attrs, public)
 
 
 # ---------------------------------------------------------------------------
@@ -562,14 +555,14 @@ class Scheme:
     issue: Callable       # (key, attrs, rng) -> credential
     verify: Callable      # (public part, credential) -> bool; raises for a bad public part
     check_key: Callable   # (key) -> None; raises InconsistentKey
-    load_public: Callable  # (public part) -> its kept combs; raises InconsistentKey
+    load_public: Callable  # (public part) -> what a request needs of it, kept; raises if bad
     credential: Layout    # every credential also carries its attributes
     public: Layout
     key: Layout
 
 
 ECC160 = Scheme(
-    "ecc160", ecc_keygen, ecc_issue, ecc_verify, check_ecc_key, ecc_comb,
+    "ecc160", ecc_keygen, ecc_issue, ecc_verify, check_ecc_key, load_ecc_public,
     credential=Layout(
         {"commitment": POINT, "nonce_point": POINT, "response": Hex(64, Q)}, EccCredential),
     public=Layout({"public": POINT}),

@@ -124,8 +124,8 @@ class TestIssueVerify:
         attrs = (5,)
         doc = json.loads(key_files[name][1].read_text())
         if name == "modexp1024":
+            rep = scheme.modexp_representative(attrs, wire.public_from_wire(doc)[1])
             doc["e"] = format(1, "0256x")
-            rep = scheme.modexp_representative(attrs, int(doc["n"], 16))
             forged = scheme.ModexpCredential(attrs, rep)
         else:
             doc["public"] = wire.encode_point(NEUTRAL)
@@ -153,6 +153,18 @@ class TestIssueVerify:
     def test_bad_attrs_flag(self, tmp_path, ecc_key_file):
         assert run_cli("issue", "--scheme", "ecc160", "--attrs", "1,zebra",
                        "--key", str(ecc_key_file), "--out", str(tmp_path / "c.json")) == 1
+
+    # int() takes each of these; the wire's decimal form takes none.
+    @pytest.mark.parametrize("value", ["1_0", " 7", "+5", "007", "\u0663"])
+    @pytest.mark.parametrize("flag", ["--attrs", "--attr-counts"])
+    def test_int_list_flags_take_only_wire_decimals(self, tmp_path, ecc_key_file, capsys,
+                                                     flag, value):
+        out = tmp_path / "out.json"
+        command = (["issue", "--scheme", "ecc160", "--key", str(ecc_key_file)]
+                   if flag == "--attrs" else ["bench", "--runs", "1"])
+        assert run_cli(*command, flag, f"1,{value}", "--out", str(out)) == 1
+        assert not out.exists()
+        assert "decimal integers" in capsys.readouterr().err
 
     @pytest.mark.parametrize("count", ["-1", "0", "11"])
     def test_attr_count_out_of_range_exits_1(self, tmp_path, ecc_key_file, capsys, count):

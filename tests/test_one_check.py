@@ -20,7 +20,7 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "abclab"
 CALLERS = {
     "check_attributes": {"scheme.py:ecc_issue", "scheme.py:ecc_verify", "scheme.py:rsa_issue",
                          "scheme.py:rsa_verify", "wire.py:_handle_issue", "cli.py:_parse_attrs"},
-    "check_modulus": {"scheme.py:check_rsa_key", "scheme.py:rsa_combs"},
+    "check_modulus": {"scheme.py:check_rsa_key", "scheme.py:load_rsa_public"},
 }
 
 

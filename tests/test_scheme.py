@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from abclab import curve, field, scheme
+from abclab import curve, field, scheme, wire
 from abclab.curve import (
     BASE,
     NEUTRAL,
@@ -226,19 +226,28 @@ FULL_WIDTH_ATTRIBUTES = tuple(
 
 
 class TestChallengeInversions:
-    """The issuer's public point is encoded once per key: each challenge then
-    inverts only the commitment's and the nonce point's Z."""
+    """The issuer's public point is encoded once per key, by keygen or the
+    key loader: each challenge then inverts only the commitment's and the
+    nonce point's Z, in the first issue under a fresh key too."""
 
-    @pytest.mark.parametrize("phase", ["issue", "verify"])
+    @pytest.mark.parametrize("phase", ["issue", "verify", "first-issue-after-keygen",
+                                       "first-issue-after-key_from_wire"])
     def test_two_fe_inv_per_request(self, ecc_key, monkeypatch, phase):
         cred = ecc_issue(ecc_key, DEFAULT_ATTRIBUTES[:2], random.Random(3))
+        key = ecc_key
+        if phase == "first-issue-after-keygen":
+            key = ecc_keygen(random.Random(31))
+        elif phase == "first-issue-after-key_from_wire":
+            doc = wire.key_to_wire("ecc160", ecc_keygen(random.Random(32)))
+            ecc_keygen(random.Random(33))  # so the loader cannot find the key kept
+            key = wire.key_from_wire(doc)[1]
         calls = []
         real = curve.fe_inv
         monkeypatch.setattr(curve, "fe_inv", lambda a: calls.append(a) or real(a))
-        if phase == "issue":
-            ecc_issue(ecc_key, DEFAULT_ATTRIBUTES[:2], random.Random(3))
-        else:
+        if phase == "verify":
             assert ecc_verify(ecc_key.public, cred)
+        else:
+            ecc_issue(key, DEFAULT_ATTRIBUTES[:2], random.Random(3))
         assert len(calls) == 2
 
 
@@ -251,7 +260,7 @@ class TestEccPointOpCounts:
 
     @pytest.fixture
     def key(self):
-        scheme.ecc_comb.cache_clear()  # so only keygen can have built the combs
+        scheme.load_ecc_public.cache_clear()  # so only keygen can have built the combs
         return ecc_keygen(random.Random(0xECC))
 
     @pytest.fixture
@@ -318,12 +327,12 @@ class TestModexpMulmodCounts:
     in the request would add straus calls, so none is."""
 
     @pytest.fixture
-    def n(self):
-        scheme.rsa_combs.cache_clear()  # so only keygen can have built the combs
-        return rsa_keygen(random.Random(0x45A)).n
+    def public(self):
+        scheme.load_rsa_public.cache_clear()  # so only keygen can have built the combs
+        return rsa_keygen(random.Random(0x45A)).public
 
     @pytest.fixture
-    def per_call(self, n, monkeypatch):
+    def per_call(self, public, monkeypatch):
         """(squarings, multiplications) of each field.straus call that
         multi_mod_pow makes, counted through the callables it passes."""
         calls = []
@@ -352,8 +361,8 @@ class TestModexpMulmodCounts:
     # makes 51 squarings and one multiplication per non-empty column of each
     # attribute, minus 1.
     @pytest.mark.parametrize("count, ops", [(1, (51, 51)), (5, (51, 254)), (10, (51, 500))])
-    def test_representative_on_fixture_attributes(self, n, per_call, count, ops):
-        scheme.modexp_representative(DEFAULT_ATTRIBUTES[:count], n)
+    def test_representative_on_fixture_attributes(self, public, per_call, count, ops):
+        scheme.modexp_representative(DEFAULT_ATTRIBUTES[:count], public)
         assert per_call == [ops]
 
 
@@ -419,16 +428,14 @@ class TestKeptTables:
         assert table.count == 3 and len(table.table) == 8
         assert point_equal(table.table[0b101], point_add(derive_generator(0), derive_generator(2)))
 
-    @pytest.mark.parametrize("name, load, material", [
-        ("ecc160", scheme.ecc_comb, lambda key: key.public),
-        ("modexp1024", scheme.rsa_combs, lambda key: key.n),
-    ])
-    def test_one_key_and_a_rebuild_on_a_miss(self, name, load, material):
+    @pytest.mark.parametrize("name", scheme.SCHEME_NAMES)
+    def test_one_key_and_a_rebuild_on_a_miss(self, name):
+        load = scheme.lookup(name).load_public
         rng = random.Random(0x7AB)
         keys = [scheme.keygen(name, rng) for _ in range(20)]
         assert load.cache_info().currsize == 1
         hits, misses = load.cache_info()[:2]
-        assert load(material(keys[-1])) is load(material(keys[-1]))
+        assert load(keys[-1].public) is load(keys[-1].public)
         assert load.cache_info()[:2] == (hits + 2, misses)
         # A credential under the first key: its combs are built again.
         cred = scheme.issue(name, keys[0], DEFAULT_ATTRIBUTES[:3], rng)
@@ -641,7 +648,7 @@ class TestFdh:
 class TestModexpRepresentative:
     def test_rejects_wrong_modulus_width(self):
         with pytest.raises(scheme.InconsistentKey):
-            scheme.modexp_representative((1,), 1 << 512)
+            scheme.modexp_representative((1,), scheme.ModexpPublic(1 << 512, 65537))
 
 
 class TestModexpBases:
@@ -690,11 +697,17 @@ class TestRsaIssueVerify:
             assert not rsa_verify(rsa_key.public, scheme.ModexpCredential(cred.attributes, sig))
 
     def test_public_key_of_the_wrong_width_raises(self, rsa_key):
+        """So does each exponent off rsa_keygen's rule: under e = 1 the
+        representative is its own signature."""
         cred = rsa_issue(rsa_key, [1])
-        short = scheme.ModexpPublic(rsa_key.n >> 8, rsa_key.e)
+        n, e = rsa_key.public
+        forged = scheme.ModexpCredential(
+            cred.attributes, scheme.modexp_representative(cred.attributes, rsa_key.public))
+        short = scheme.ModexpPublic(n >> 8, e)
         assert short.n.bit_length() == 1016
-        with pytest.raises(scheme.InconsistentKey):
-            rsa_verify(short, cred)
+        for public in (short, (n, 1), (n, e + 1), (n, 65537), (n, n)):
+            with pytest.raises(scheme.InconsistentKey):
+                rsa_verify(scheme.ModexpPublic(*public), forged)
 
 
 class TestRsaCrtSigning:
@@ -705,13 +718,13 @@ class TestRsaCrtSigning:
         key = rsa_keygen(random.Random(seed))
         for count in (1, 5, 10):
             attrs = DEFAULT_ATTRIBUTES[:count]
-            rep = scheme.modexp_representative(attrs, key.n)
+            rep = scheme.modexp_representative(attrs, key.public)
             assert rsa_issue(key, attrs).signature == mod_pow(rep, key.d, key.n)
 
     @pytest.mark.parametrize("prime", ["p1", "p2"])
     def test_representative_sharing_a_prime(self, rsa_key, monkeypatch, prime):
         rep = getattr(rsa_key, prime) * 0xC0FFEE
-        monkeypatch.setattr(scheme, "modexp_representative", lambda attrs, n: rep)
+        monkeypatch.setattr(scheme, "modexp_representative", lambda attrs, public: rep)
         assert rsa_issue(rsa_key, [1]).signature == mod_pow(rep, rsa_key.d, rsa_key.n)
 
 
