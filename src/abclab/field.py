@@ -7,9 +7,9 @@ loop, ``straus``: Straus's simultaneous method over any group given its
 combine and square.  ``multi_mod_pow`` (whose one-term case is ``mod_pow``)
 runs it mod m, and the curve's ``multi_scalar_mul`` on points.  Both loops
 are explicit interpreted code with no built-in pow.  No call builds a
-table: a ``Comb`` or ``Subsets`` term brings the one its caller built once
-and keeps, and any other term is its own one-entry table.  All functions
-are pure and safe to call concurrently.
+table: a ``Comb`` term brings the one its caller built once and keeps, and
+any other term is its own one-entry table.  All functions are pure and safe
+to call concurrently.
 """
 
 from __future__ import annotations
@@ -22,10 +22,11 @@ P = 2**255 - 19
 # Order of the base point; modulus of the scalar ring.
 Q = 2**252 + 27742317777372353535851937790883648493
 
-# Powers per comb: a Comb keeps the 2^5 - 1 subset combinations of five
-# powers of its element, so an exponent of b bits runs as five pieces of
-# ceil(b / 5) bits, with at most one combine per bit position of a piece.
-COMB_PIECES = 5
+# Index bits of a kept table: a Comb of k elements keeps the subset
+# combinations of max(1, 8 // k) powers of each, so a one-element comb runs
+# an exponent of b bits as eight pieces of ceil(b / 8) bits over 2^8
+# entries, with at most one combine per bit position of a piece.
+COMB_BITS = 8
 
 
 class ZeroInverse(ZeroDivisionError):
@@ -77,7 +78,9 @@ def mod_pow(base: int, exp: int, modulus: int) -> int:
     return multi_mod_pow([(base, exp)], modulus)
 
 
-class Comb(NamedTuple):  # a fixed-base comb table; see comb()
+class Comb(NamedTuple):  # a kept fixed-base table; see comb()
+    count: int
+    pieces: int
     width: int
     table: list
 
@@ -90,26 +93,21 @@ def _subsets(elems, combine) -> list:
     return table
 
 
-class Subsets(NamedTuple):  # a kept subset table; see subsets()
-    count: int
-    table: list
-
-
-def subsets(elems, combine) -> Subsets:
-    """A table to keep for elems fixed in advance: their _subsets, for a term
-    whose exponent holds one exponent per element."""
-    elems = list(elems)
-    return Subsets(len(elems), _subsets(elems, combine))
-
-
-def comb(elem, bits, combine, power) -> Comb:
-    """A table to keep for elem (Lim and Lee, CRYPTO '94): the _subsets of its
-    powers elem^(2^(j*width)), j < COMB_PIECES, by power(a, e) = a^e."""
-    width = -(-bits // COMB_PIECES)
-    powers = [elem]
-    for _ in range(COMB_PIECES - 1):
-        powers.append(power(powers[-1], 1 << width))
-    return Comb(width, _subsets(powers, combine))
+def comb(elems, bits, combine, power) -> Comb:
+    """A table to keep for elems fixed in advance, for exponents of up to
+    bits bits (Lim and Lee, CRYPTO '94; Moller, SAC 2001): the _subsets of
+    the powers elem^(2^(j*width)) of each element, j < pieces, by
+    power(a, e) = a^e, with pieces = max(1, COMB_BITS // count) and width =
+    ceil(bits / pieces).  So the table has 256 entries for one, two or four
+    elements, 64 for three, and 2^count from five on."""
+    pieces = max(1, COMB_BITS // len(elems))
+    width = -(-bits // pieces)
+    powers = []
+    for elem in elems:
+        powers.append(elem)
+        for _ in range(pieces - 1):
+            powers.append(power(powers[-1], 1 << width))
+    return Comb(len(elems), pieces, width, _subsets(powers, combine))
 
 
 def straus(terms, combine, square):
@@ -118,37 +116,38 @@ def straus(terms, combine, square):
     chains of vectors", 1964): combine(a, b) is the group operation and
     square(a) combines a with itself.  None if no term has a non-zero
     exponent; ValueError for a negative exponent, one too wide for its Comb,
-    or more exponents than a Subsets term's table has elements.
+    or more exponents than a Comb term's table has elements.
 
     Terms whose exponents are all zero are dropped.  Each other term is a
     group of its own, over a table no call builds: a Comb term's kept table,
-    with its exponent's width-bit pieces as the exponents of the powers; a
-    Subsets term's kept table, with one exponent per tabulated element as
-    its exponent; any other element's one-entry table [None, elem].  All
-    groups share one chain, top bit first: square once per bit position
-    below the top, and combine in each group's entry for the exponents with
-    that bit set, if any.  The first selected entry starts the result, so a
-    call costs max(bit_length) - 1 squarings over the exponents and comb
-    pieces, and one combine per (bit position, group) whose column is not
-    zero, minus 1.  No call makes a table combine.  A one-term call without
+    whose exponent is an int or one exponent per element, with each
+    exponent's width-bit pieces as the exponents of its powers; any other
+    element's one-entry table [None, elem].  All groups share one chain,
+    top bit first: square once per bit position below the top, and combine
+    in each group's entry for the exponents with that bit set, if any.  The
+    first selected entry starts the result, so a call costs
+    max(bit_length) - 1 squarings over the exponents and comb pieces, and
+    one combine per (bit position, group) whose column is not zero, minus
+    1.  No call makes a table combine.  A one-term call without
     a kept table costs bit_length - 1 squarings and popcount - 1 combines.
     """
     groups = []   # (table, the exponent of each of its elements)
     for exp, elem in terms:
-        exps = tuple(exp) if isinstance(elem, Subsets) else (exp,)
+        kept = isinstance(elem, Comb)
+        exps = tuple(exp) if kept and not isinstance(exp, int) else (exp,)
         if any(e < 0 for e in exps):
             raise ValueError("exponents and scalars must be non-negative")
         if not any(exps):
             continue
-        if isinstance(elem, Subsets):
+        if kept:
             if len(exps) > elem.count:
                 raise ValueError("more exponents than its table has elements")
-            groups.append((elem.table, exps))
-        elif isinstance(elem, Comb):
-            if exp >> COMB_PIECES * elem.width:
+            pieces, width = elem.pieces, elem.width
+            if any(e >> pieces * width for e in exps):
                 raise ValueError("exponent too wide for its comb")
-            mask = (1 << elem.width) - 1
-            groups.append((elem.table, [exp >> j * elem.width & mask for j in range(COMB_PIECES)]))
+            mask = (1 << width) - 1
+            groups.append((elem.table, [e >> j * width & mask
+                                        for e in exps for j in range(pieces)]))
         else:
             groups.append(([None, elem], exps))
     if not groups:
@@ -193,7 +192,7 @@ def multi_mod_pow(terms, modulus: int) -> int:
 
 def mod_comb(base: int, bits: int, modulus: int) -> Comb:
     """The Comb of base mod modulus for exponents of up to bits bits."""
-    return comb(base % modulus, bits, lambda a, b: a * b % modulus,
+    return comb([base % modulus], bits, lambda a, b: a * b % modulus,
                 lambda b, e: mod_pow(b, e, modulus))
 
 

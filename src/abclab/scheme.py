@@ -20,12 +20,17 @@ checks its signature equation the same way, as one two-term sum
 z*B - c*Q_pub.  No request builds a table; the kept ones are:
 
 - B's comb (``field.Comb``), built at import;
-- per attribute count k, the 2^k subset sums of the system parameters
-  H_0..H_{k-1} (``field.Subsets``), built on the first commitment to k
-  attributes: the k terms then add at most once per bit position;
+- per attribute count k, the comb of the system parameters H_0..H_{k-1},
+  built on the first commitment to k attributes: the k terms then add at
+  most once per bit position of a piece;
 - per scheme, the latest key's state -- -Q_pub's comb and point_bytes, or
-  each R_i's comb -- in ``Scheme.load_public``, its one per-key cache, which
-  checks the key; keygen and the loaders fill it, issue and verify read it.
+  the R_i's combs, each built on the first representative that uses it --
+  in ``Scheme.load_public``, its one per-key cache, which checks the key;
+  keygen and the loaders fill it, issue and verify read it.
+
+Every comb has the same shape (``field.comb``): the subset combinations of
+max(1, 8 // k) powers of each of its k elements, so a one-element comb
+holds 256 entries and runs a 253-bit scalar in 31 doublings.
 
 Each scheme is one ``Scheme`` object in the ``SCHEMES`` registry: its
 protocol functions, its key check and the wire layouts of its documents.
@@ -52,7 +57,6 @@ from .curve import (
     ExtendedPoint,
     check_point,
     multi_scalar_mul,
-    point_add,
     point_comb,
     point_equal,
     point_negate,
@@ -60,8 +64,7 @@ from .curve import (
     to_affine,
 )
 from .field import (
-    Comb, Q, Subsets, encode32, mod_comb, mod_inv, mod_pow, multi_mod_pow, sc_reduce_wide,
-    subsets,
+    Comb, Q, encode32, mod_comb, mod_inv, mod_pow, multi_mod_pow, sc_reduce_wide,
 )
 
 MAX_ATTRIBUTES = 10
@@ -225,10 +228,10 @@ def check_ecc_key(key: EccIssuerKey) -> None:
 
 
 @functools.cache  # one per attribute count, kept for the process
-def commit_table(count: int) -> Subsets:
-    """The subset sums of H_0..H_{count-1}, for ecc_commit: 2^count - count - 1
-    point additions, once."""
-    return subsets(map(derive_generator, range(count)), point_add)
+def commit_table(count: int) -> Comb:
+    """The comb of H_0..H_{count-1}, for ecc_commit: from five attributes
+    on, their 2^count subset sums alone."""
+    return point_comb(*map(derive_generator, range(count)))
 
 
 def ecc_commit(attrs: tuple[int, ...]) -> ExtendedPoint:
@@ -471,14 +474,15 @@ def _attr_digest(i: int, value: int) -> int:
 
 
 @functools.lru_cache(maxsize=1)  # kept for the latest modexp1024 key only
-def load_rsa_public(public: ModexpPublic) -> tuple[Comb, ...]:
-    """What a request needs of a public key: the comb of each R_i, for
-    modexp_representative.  InconsistentKey unless n has MODULUS_BITS bits
-    and e passes check_public_exponent."""
+def load_rsa_public(public: ModexpPublic) -> Callable[[int], Comb]:
+    """What a request needs of a public key: i -> the comb of R_i, for
+    modexp_representative, each built on its first use and kept with the
+    key.  InconsistentKey unless n has MODULUS_BITS bits and e passes
+    check_public_exponent."""
     n = public.n
     check_modulus(n)
     check_public_exponent(public)
-    return tuple(mod_comb(derive_modexp_base(n, i), 256, n) for i in range(MAX_ATTRIBUTES))
+    return functools.cache(lambda i: mod_comb(derive_modexp_base(n, i), 256, n))
 
 
 def modexp_representative(attrs: tuple[int, ...], public: ModexpPublic) -> int:
@@ -490,8 +494,8 @@ def modexp_representative(attrs: tuple[int, ...], public: ModexpPublic) -> int:
     count.
     """
     n = public.n
-    combs = load_rsa_public(public)
-    terms = [(combs[i], _attr_digest(i, a)) for i, a in enumerate(attrs)]
+    base_comb = load_rsa_public(public)
+    terms = [(base_comb(i), _attr_digest(i, a)) for i, a in enumerate(attrs)]
     return fdh(attrs) * multi_mod_pow(terms, n) % n
 
 

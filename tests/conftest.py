@@ -8,7 +8,7 @@ import pytest
 # Make tests/oracles.py importable from any invocation directory.
 sys.path.insert(0, str(Path(__file__).parent))
 
-from abclab import curve, wire  # noqa: E402
+from abclab import curve, field, wire  # noqa: E402
 
 
 @pytest.fixture
@@ -25,6 +25,17 @@ def point_op_counts(monkeypatch):
     monkeypatch.setattr(curve, "point_double", counted("double", curve.point_double))
     monkeypatch.setattr(curve, "point_add", counted("add", curve.point_add))
     return counts
+
+
+@pytest.fixture
+def comb_builds(monkeypatch):
+    """The arguments of each kept table built from here on, by field.comb
+    directly or through curve.point_comb."""
+    builds = []
+    real = field.comb
+    for module in (field, curve):
+        monkeypatch.setattr(module, "comb", lambda *args: builds.append(args) or real(*args))
+    return builds
 
 
 @pytest.fixture

@@ -153,16 +153,17 @@ class TestRunBenchmark:
         assert [(r.scheme, r.run_index) for r in records[::2]] == [
             ("ecc160", 0), ("modexp1024", 0), ("ecc160", 1), ("modexp1024", 1)]
 
-    def test_no_timed_phase_builds_a_system_table(self, monkeypatch):
-        # Each cell's untimed warm-up derives the generators and builds the
-        # commit_table of its count; the timed phases find them kept.
+    def test_no_timed_phase_builds_a_system_table(self, monkeypatch, comb_builds):
+        # Each run's untimed issue under its fresh key derives the generators
+        # and builds the commit_table of its count and the R_i combs that it
+        # uses; the timed phases, the warm-up's too, find them kept.
         scheme.derive_generator.cache_clear()
         scheme.commit_table.cache_clear()
         builds = []
 
         def misses():
-            return [kept.cache_info().misses
-                    for kept in (scheme.commit_table, scheme.derive_generator)]
+            return [len(comb_builds)] + [kept.cache_info().misses
+                                   for kept in (scheme.commit_table, scheme.derive_generator)]
 
         def timed(action):
             before = misses()
@@ -171,10 +172,9 @@ class TestRunBenchmark:
             return result
 
         monkeypatch.setattr(bench, "time_phase", timed)
-        config = BenchConfig(attr_counts=(5, 10), runs=2, seed=4)
+        config = BenchConfig(attr_counts=(1, 10), runs=2, seed=4)
         assert len(run_benchmark(config)) == 16
-        # Per count: the warm-up's four phases, the first of them building.
-        assert builds == ([True] + [False] * 11) * 2
+        assert comb_builds and builds == [False] * 24
 
     def test_warm_up_draws_nothing_from_the_seeded_rng(self):
         config = BenchConfig(attr_counts=(1, 5), runs=2, seed=11)

@@ -73,6 +73,12 @@ class TestKeygen:
             run_cli("keygen", "--scheme", "ecc160", "--out", str(tmp_path / name), "--seed", "3")
         assert (tmp_path / "a.json").read_text() == (tmp_path / "b.json").read_text()
 
+    def test_negative_seed(self, tmp_path):
+        out = tmp_path / "k.json"
+        assert run_cli("keygen", "--scheme", "ecc160", "--out", str(out), "--seed", "-7") == 0
+        key = scheme.keygen("ecc160", random.Random(-7))
+        assert json.loads(out.read_text()) == wire.key_to_wire("ecc160", key)
+
 
 class TestIssueVerify:
     def test_local_round_trip(self, tmp_path, ecc_key_file, capsys):
@@ -165,6 +171,50 @@ class TestIssueVerify:
         assert run_cli(*command, flag, f"1,{value}", "--out", str(out)) == 1
         assert not out.exists()
         assert "decimal integers" in capsys.readouterr().err
+
+    # int() takes each of these; the wire's decimal form takes none, and
+    # only a seed may have a leading '-'.
+    @pytest.mark.parametrize("value", ["1_0", " 7", "+5", "007", "\u0663", "-07", "-"])
+    @pytest.mark.parametrize("command, flag", [
+        ("keygen", "--seed"), ("issue", "--seed"), ("issue", "--attr-count"),
+        ("bench", "--seed"), ("bench", "--runs")])
+    def test_int_flags_take_only_wire_decimals(self, tmp_path, ecc_key_file, capsys,
+                                               command, flag, value):
+        out = tmp_path / "out.json"
+        args = {"keygen": ["--scheme", "ecc160"],
+                "issue": ["--scheme", "ecc160", "--key", str(ecc_key_file)],
+                "bench": ["--runs", "1"]}[command]
+        assert run_cli(command, *args, flag, value, "--out", str(out)) == 1
+        assert not out.exists()
+        assert "decimal integer" in capsys.readouterr().err
+
+    # Each abclab issue is a fresh process with cold tables: issue, then
+    # time the issue again.
+    @pytest.mark.parametrize("count", [1, 10])
+    @pytest.mark.parametrize("name", scheme.SCHEME_NAMES)
+    def test_timed_issue_builds_no_table(self, tmp_path, key_files, monkeypatch, comb_builds,
+                                         name, count):
+        scheme.commit_table.cache_clear()
+        for found in scheme.SCHEMES.values():
+            found.load_public.cache_clear()
+        timed_builds = []
+        real_time_phase = bench.time_phase
+
+        def timed(action):
+            before = len(comb_builds)
+            result = real_time_phase(action)
+            timed_builds.append(len(comb_builds) - before)
+            return result
+
+        monkeypatch.setattr(bench, "time_phase", timed)
+        out = tmp_path / "c.json"
+        assert run_cli("issue", "--scheme", name, "--attr-count", str(count), "--seed", "9",
+                       "--key", str(key_files[name][0]), "--out", str(out)) == 0
+        assert comb_builds and timed_builds == [0]
+        # The untimed issue draws nothing from the seeded rng.
+        key = wire.key_from_wire(json.loads(key_files[name][0].read_text()))[1]
+        cred = scheme.issue(name, key, scheme.DEFAULT_ATTRIBUTES[:count], random.Random(9))
+        assert json.loads(out.read_text()) == wire.credential_to_wire(name, cred)
 
     @pytest.mark.parametrize("count", ["-1", "0", "11"])
     def test_attr_count_out_of_range_exits_1(self, tmp_path, ecc_key_file, capsys, count):

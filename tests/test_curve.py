@@ -26,7 +26,7 @@ from abclab.curve import (
     scalar_mul_counted,
     to_affine,
 )
-from abclab.field import ZeroInverse, subsets
+from abclab.field import ZeroInverse
 
 import oracles
 
@@ -368,11 +368,13 @@ class TestMultiScalarMul:
             assert (point_op_counts["double"], point_op_counts["add"]) == straus_counts(scalars)
 
     def test_kept_subsets_term(self, point_op_counts):
-        # One group over the kept table, so the call adds nothing to it: one
+        # One group over the kept table, which for five points or more is
+        # their subset sums alone, so the call adds nothing to it: one
         # addition per bit position where some scalar has a 1, minus 1.
         rng = random.Random(0x5B5)
         points = [random_point(rng) for _ in range(7)]
-        kept = subsets(points, point_add)
+        kept = point_comb(*points)
+        assert (kept.pieces, len(kept.table)) == (1, 2**7)
         scalars = [rng.getrandbits(rng.randrange(1, 200)) for _ in points]
         scalars[2] = 0
         point_op_counts.update(double=0, add=0)
@@ -388,11 +390,13 @@ class TestMultiScalarMul:
         assert tuple(to_affine(got)) == want
 
     def test_kept_subsets_term_edge_cases(self):
-        kept = subsets([BASE, scalar_mul(3, BASE)], point_add)
+        kept = point_comb(BASE, scalar_mul(3, BASE))  # four pieces of 64 bits each
         assert point_equal(multi_scalar_mul([([0, 0], kept)]), NEUTRAL)
         assert point_equal(multi_scalar_mul([([0, 0], kept), (2, BASE)]), scalar_mul(2, BASE))
         assert point_equal(multi_scalar_mul([([Q - 1, 1], kept)]), scalar_mul(2, BASE))
-        for exps in ([1, 2, 3], [1, -1]):
+        assert point_equal(multi_scalar_mul([([2**256 - 1], kept)]), scalar_mul(2**256 - 1, BASE))
+        assert point_equal(multi_scalar_mul([(5, kept)]), scalar_mul(5, BASE))
+        for exps in ([1, 2, 3], [1, -1], [0, 2**256], -1):
             with pytest.raises(ValueError):
                 multi_scalar_mul([(exps, kept)])
 

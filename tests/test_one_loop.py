@@ -2,8 +2,8 @@
 scalar_mul, multi_mod_pow and multi_scalar_mul are calls with no loop of
 their own, and only multi_scalar_mul doubles points, so no second
 square-and-multiply or double-and-add loop can come back elsewhere in the
-package.  Only the builders of kept tables, field.subsets and field.comb,
-tabulate subsets, so no call of the loop builds a table.  Nothing in the
+package.  Only field.comb, the builder of every kept table, tabulates
+subsets, so no call of the loop builds a table.  Nothing in the
 package calls the builtin pow, whose C loop would give one side a faster
 substrate than the other."""
 
@@ -49,7 +49,7 @@ def test_only_multi_scalar_mul_doubles():
 
 
 def test_only_kept_table_builders_tabulate_subsets():
-    assert callers("_subsets") == {"field.py:comb", "field.py:subsets"}
+    assert callers("_subsets") == {"field.py:comb"}
 
 
 def test_no_call_to_pow():

@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from abclab import curve, field, scheme, wire
 from abclab.curve import (
@@ -287,49 +288,52 @@ class TestEccPointOpCounts:
         assert calls == pins
         assert (point_op_counts["double"], point_op_counts["add"]) == tuple(map(sum, zip(*pins)))
 
-    # One group over the kept table: one addition per bit position where
-    # some attribute has a 1, minus 1.  Summed popcounts - 1 would be 30,
-    # 128 and 309 additions; per-call groups of five paid 26 table additions
-    # each on top, (70, 91) and (108, 202) at 5 and 10 attributes.
-    @pytest.mark.parametrize("count, ops", [(1, (61, 30)), (5, (70, 65)), (10, (108, 92))])
+    # One group over the kept comb: one addition per bit position of a
+    # piece where some attribute has a 1, minus 1.  One attribute runs as
+    # eight 32-bit pieces, so at most 31 doublings; from five attributes on
+    # the comb is the subset table alone.  A 2-entry subset table gave
+    # (61, 30) at 1 attribute.
+    @pytest.mark.parametrize("count, ops", [(1, (30, 23)), (5, (70, 65)), (10, (108, 92))])
     def test_commitment_on_fixture_attributes(self, per_call, point_op_counts, count, ops):
         ecc_commit(DEFAULT_ATTRIBUTES[:count])
         self.assert_pinned(per_call, point_op_counts, [ops])
 
     # Past 5 attributes nearly every one of the 251 columns is non-empty;
-    # per-call groups of five gave (251, 268) and (251, 539) at 5 and 10.
-    @pytest.mark.parametrize("count, ops", [(1, (251, 128)), (5, (251, 242)), (10, (251, 251))])
+    # one attribute's eight pieces fill all 32 columns of its comb, where
+    # a 2-entry subset table gave (251, 128).
+    @pytest.mark.parametrize("count, ops", [(1, (31, 31)), (5, (251, 242)), (10, (251, 251))])
     def test_commitment_on_full_width_attributes(self, per_call, point_op_counts, count, ops):
         ecc_commit(FULL_WIDTH_ATTRIBUTES[:count])
         self.assert_pinned(per_call, point_op_counts, [ops])
 
     def test_issue_nonce(self, key, per_call, point_op_counts):
-        # The commitment, then k*B on B's comb: k is five 51-bit pieces, so
-        # 50 doublings, and 50 of the 51 columns are non-empty, minus 1.
+        # The commitment, then k*B on B's comb: k is eight 32-bit pieces, so
+        # 31 doublings, and all 32 columns are non-empty, minus 1.  Five
+        # 51-bit pieces gave (50, 49).
         ecc_issue(key, DEFAULT_ATTRIBUTES[:1], random.Random(1))
-        self.assert_pinned(per_call, point_op_counts, [(61, 30), (50, 49)])
+        self.assert_pinned(per_call, point_op_counts, [(30, 23), (31, 31)])
 
     def test_verify_joint_sum(self, key, per_call, point_op_counts):
         # The commitment, then z*B - c*Q_pub on the combs of B and -Q_pub:
-        # two groups of five 51-bit pieces, so 50 doublings, and 95 of the
-        # 102 columns are non-empty, minus 1.
+        # two groups of eight 32-bit pieces, so 31 doublings, and all 64
+        # columns are non-empty, minus 1.  Five 51-bit pieces gave (50, 94).
         cred = ecc_issue(key, DEFAULT_ATTRIBUTES[:1], random.Random(1))
         del per_call[:]
         point_op_counts.update(double=0, add=0)
         assert ecc_verify(key.public, cred)
-        self.assert_pinned(per_call, point_op_counts, [(61, 30), (50, 94)])
+        self.assert_pinned(per_call, point_op_counts, [(30, 23), (31, 63)])
 
 
 class TestModexpMulmodCounts:
     """The squarings and multiplications of the modexp1024 representative,
     pinned: they follow the same field.straus rule as the curve sums.  The
-    key comes from keygen, which builds the R_i combs, and a table built
-    in the request would add straus calls, so none is."""
+    fixture's first representative builds every R_i comb, and a table built
+    in a pinned request would add straus calls, so none is."""
 
     @pytest.fixture
-    def public(self):
-        scheme.load_rsa_public.cache_clear()  # so only keygen can have built the combs
-        return rsa_keygen(random.Random(0x45A)).public
+    def public(self, rsa_key):
+        scheme.modexp_representative(DEFAULT_ATTRIBUTES, rsa_key.public)
+        return rsa_key.public
 
     @pytest.fixture
     def per_call(self, public, monkeypatch):
@@ -357,10 +361,11 @@ class TestModexpMulmodCounts:
         return calls
 
     # The exponents are the attribute digests, which do not depend on the
-    # modulus.  On the R_i combs each is five 52-bit pieces, so every count
-    # makes 51 squarings and one multiplication per non-empty column of each
-    # attribute, minus 1.
-    @pytest.mark.parametrize("count, ops", [(1, (51, 51)), (5, (51, 254)), (10, (51, 500))])
+    # modulus.  On the R_i combs each is eight 32-bit pieces, so every count
+    # makes 31 squarings and one multiplication per non-empty column of each
+    # attribute, minus 1.  Five 52-bit pieces gave (51, 51), (51, 254) and
+    # (51, 500).
+    @pytest.mark.parametrize("count, ops", [(1, (31, 31)), (5, (31, 159)), (10, (31, 317))])
     def test_representative_on_fixture_attributes(self, public, per_call, count, ops):
         scheme.modexp_representative(DEFAULT_ATTRIBUTES[:count], public)
         assert per_call == [ops]
@@ -368,24 +373,24 @@ class TestModexpMulmodCounts:
 
 class TestCombs:
     """A comb term gives what the binary chain of scalar_mul or mod_pow
-    gives, for every exponent below 2^(5*width), and raises ValueError for
-    the rest rather than computing a wrong result."""
+    gives, for every exponent below 2^(pieces*width), and raises ValueError
+    for the rest rather than computing a wrong result."""
 
     @staticmethod
     def check(comb, chain, combed, rng):
-        w = comb.width
-        # Edge cases, then exponents whose top 4, 3, 2 and 1 pieces are
+        p, w = comb.pieces, comb.width
+        # Edge cases, then exponents whose top p - 1, ..., 1 pieces are
         # zero, then full-width ones.
-        exps = ([0, 1, 2**w - 1, 2**w, 2**(4 * w), Q - 1, 2**256 - 1]
-                + [rng.getrandbits(j * w) for j in range(1, 5)]
-                + [rng.getrandbits(5 * w) for _ in range(3)])
+        exps = ([0, 1, 2**w - 1, 2**w, 2**((p - 1) * w), Q - 1, 2**256 - 1]
+                + [rng.getrandbits(j * w) for j in range(1, p)]
+                + [rng.getrandbits(p * w) for _ in range(3)])
         for e in exps:
-            if e >> 5 * w:
+            if e >> p * w:
                 with pytest.raises(ValueError):
                     combed(e)
             else:
                 assert combed(e) == chain(e), e
-        for e in (-1, 1 << 5 * w, (1 << 5 * w) + 1):
+        for e in (-1, 1 << p * w, (1 << p * w) + 1):
             with pytest.raises(ValueError):
                 combed(e)
 
@@ -393,7 +398,7 @@ class TestCombs:
         rng = random.Random(0xC0B)
         for pt in (BASE, ecc_keygen(rng).public):
             comb = curve.point_comb(pt)
-            assert comb.width == 51
+            assert (comb.count, comb.pieces, comb.width, len(comb.table)) == (1, 8, 32, 256)
             self.check(comb, lambda k: to_affine(scalar_mul(k, pt)),
                        lambda k: to_affine(curve.multi_scalar_mul([(k, comb)])), rng)
 
@@ -401,7 +406,7 @@ class TestCombs:
         n = rsa_key.n
         base = derive_modexp_base(n, 3)
         comb = field.mod_comb(base, 256, n)
-        assert comb.width == 52
+        assert (comb.pieces, comb.width) == (8, 32)
         self.check(comb, lambda e: mod_pow(base, e, n),
                    lambda e: field.multi_mod_pow([(comb, e)], n), random.Random(0xC0C))
 
@@ -417,6 +422,21 @@ class TestCombs:
         assert field.multi_mod_pow([(field.mod_comb(r, 256, n), e1), (r, e2)], n) \
             == mod_pow(r, e1 + e2, n)
 
+    # Each draw runs up to ten chains of scalar_mul, about 3 ms each.
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from([0, 1, Q - 1, 2**252]),
+                              st.integers(0, 2**64),
+                              st.integers(0, Q - 1)),
+                    min_size=1, max_size=scheme.MAX_ATTRIBUTES))
+    def test_comb_of_k_generators_is_the_sum_of_their_multiples(self, scalars):
+        # k = 1..4 combs split each scalar into 8 // k pieces; from five on
+        # the comb is the subset table of the generators alone.
+        got = curve.multi_scalar_mul([(scalars, scheme.commit_table(len(scalars)))])
+        want = NEUTRAL
+        for i, a in enumerate(scalars):
+            want = point_add(want, scalar_mul(a, derive_generator(i)))
+        assert point_equal(got, want)
+
 
 class TestKeptTables:
     """Beside B's comb and one commit_table per attribute count, each scheme
@@ -425,8 +445,30 @@ class TestKeptTables:
     def test_one_commit_table_per_attribute_count(self):
         table = scheme.commit_table(3)
         assert scheme.commit_table(3) is table
-        assert table.count == 3 and len(table.table) == 8
+        # Two pieces of each generator, H_i and 2^127 * H_i, at bits 2i, 2i + 1.
+        assert (table.count, table.pieces, len(table.table)) == (3, 2, 2**6)
+        assert point_equal(table.table[0b010001],
+                           point_add(derive_generator(0), derive_generator(2)))
+        assert point_equal(table.table[0b000010], scalar_mul(2**127, derive_generator(0)))
+        # From five attributes on, the subset sums of the generators alone.
+        table = scheme.commit_table(5)
+        assert (table.count, table.pieces, len(table.table)) == (5, 1, 2**5)
         assert point_equal(table.table[0b101], point_add(derive_generator(0), derive_generator(2)))
+
+    @pytest.mark.parametrize("count", [1, 3, 10])
+    def test_each_base_comb_is_built_on_its_first_use(self, rsa_key, comb_builds, count):
+        scheme.load_rsa_public.cache_clear()
+        attrs = DEFAULT_ATTRIBUTES[:count]
+        rep = scheme.modexp_representative(attrs, rsa_key.public)
+        assert len(comb_builds) == count
+        assert scheme.modexp_representative(attrs, rsa_key.public) == rep
+        assert len(comb_builds) == count
+
+    def test_a_bad_key_raises_before_any_comb(self, rsa_key, comb_builds):
+        scheme.load_rsa_public.cache_clear()
+        with pytest.raises(scheme.InconsistentKey):
+            scheme.modexp_representative(DEFAULT_ATTRIBUTES[:1], scheme.ModexpPublic(rsa_key.n, 3))
+        assert comb_builds == []
 
     @pytest.mark.parametrize("name", scheme.SCHEME_NAMES)
     def test_one_key_and_a_rebuild_on_a_miss(self, name):
