@@ -2,13 +2,21 @@
 
 Points are held in extended homogeneous coordinates (X:Y:Z:T) with
 x = X/Z, y = Y/Z, xy = T/Z, so addition and doubling need no field
-inversions; the one inversion, in ``to_affine``, is ``field.fe_inv``.
-A sum of scalar multiples (``multi_scalar_mul``), which also gives the
-verifier its joint z*B - c*Q_pub, is the field's one exponentiation loop,
-Straus's simultaneous method, run with point addition and doubling; a
-single scalar multiple (``scalar_mul``) is its one-term case.  Callers
-keep the comb tables (``point_comb``) of fixed points; there are no window
-tables, no signed recoding, and nothing here is constant-time.
+inversions; the one inversion, in ``to_affine_all``, is ``field.fe_inv``,
+one for a whole list of points by Montgomery's trick (``to_affine`` is its
+one-point case).  A sum of scalar multiples (``multi_scalar_mul``), which
+also gives the verifier its joint z*B - c*Q_pub, is the field's one
+exponentiation loop, Straus's simultaneous method, run with point doubling
+and ``point_add_cached``: the addition of Hisil, Wong, Carter and Dawson
+("Twisted Edwards curves revisited", 2008) to an addend in cached form
+(Y+X, Y-X, 2Z, 2d*T).  A bare point term is converted once per call, so its
+additions cost 8 multiplications.  The comb tables (``point_comb``) that
+callers keep for fixed points hold their entries in that form with Z = 1,
+the ``ge_precomp`` form of Bernstein, Duif, Lange, Schwabe and Yang
+("High-speed high-security signatures", CHES 2011): Z1 * 2 is a one-word
+product, so a table addition costs 7, where ``point_add`` costs 9.  A
+single scalar multiple (``scalar_mul``) is the loop's one-term case.  There
+are no window tables, no signed recoding, and nothing here is constant-time.
 """
 
 from __future__ import annotations
@@ -45,6 +53,9 @@ class ExtendedPoint(NamedTuple):
 NEUTRAL = ExtendedPoint(0, 1, 1, 0)
 BASE = ExtendedPoint(BASE_X, BASE_Y, 1, BASE_X * BASE_Y % P)
 
+_D2 = 2 * D % P        # the T factor of the cached form
+_D_INV = fe_inv(D)     # takes it back out in from_cached
+
 
 def check_point(pt: ExtendedPoint) -> ExtendedPoint:
     """pt if Z != 0, XY == TZ and the projective curve equation
@@ -67,25 +78,57 @@ def from_affine(pt: AffinePoint) -> ExtendedPoint:
     return check_point(ExtendedPoint(pt.x, pt.y, 1, pt.x * pt.y % P))
 
 
+def to_affine_all(points) -> list[AffinePoint]:
+    """(X/Z, Y/Z) of each point, by Montgomery's trick: one fe_inv of the
+    product of the Zs, which raises ZeroInverse if any Z == 0 mod p, and
+    three multiplications more per point."""
+    prefix = [1]  # prefix[i] is the product of the first i Zs
+    for pt in points:
+        prefix.append(prefix[-1] * pt.Z % P)
+    inv = fe_inv(prefix.pop())  # 1 / (the product of all the Zs)
+    out = []
+    # Walking back, inv is 1 / (the product of the Zs up to this point's).
+    for X, Y, Z, _ in reversed(points):
+        z_inv = inv * prefix.pop() % P
+        inv = inv * Z % P
+        out.append(AffinePoint(X * z_inv % P, Y * z_inv % P))
+    out.reverse()
+    return out
+
+
 def to_affine(pt: ExtendedPoint) -> AffinePoint:
     """(X/Z, Y/Z); fe_inv raises ZeroInverse for Z == 0."""
-    z_inv = fe_inv(pt.Z)
-    return AffinePoint(pt.X * z_inv % P, pt.Y * z_inv % P)
+    return to_affine_all([pt])[0]
+
+
+def to_cached(pt: ExtendedPoint) -> tuple:
+    """pt as an addend of point_add_cached, (Y+X, Y-X, 2Z, 2d*T): one mulmod."""
+    X, Y, Z, T = pt
+    return (Y + X) % P, (Y - X) % P, 2 * Z % P, _D2 * T % P
+
+
+def from_cached(c: tuple) -> ExtendedPoint:
+    """The point of a cached addend as (2X, 2Y, 2Z, 2T): one mulmod."""
+    yp, ym, z2, t2d = c
+    return ExtendedPoint((yp - ym) % P, (yp + ym) % P, z2, t2d * _D_INV % P)
+
+
+def point_add_cached(p1: ExtendedPoint, c2: tuple) -> ExtendedPoint:
+    """p1 + p2 for p2 in cached form (to_cached, or a point_comb entry);
+    unified, so also valid for p1 == p2."""
+    X1, Y1, Z1, T1 = p1
+    yp, ym, z2, t2d = c2
+    A = (Y1 - X1) * ym % P
+    B = (Y1 + X1) * yp % P
+    C = T1 * t2d % P
+    Dv = Z1 * z2 % P
+    E, F, G, H = B - A, Dv - C, Dv + C, B + A
+    return tuple.__new__(ExtendedPoint, (E * F % P, G * H % P, F * G % P, E * H % P))
 
 
 def point_add(p1: ExtendedPoint, p2: ExtendedPoint) -> ExtendedPoint:
     """Unified extended-coordinate addition; also valid for p1 == p2."""
-    X1, Y1, Z1, T1 = p1
-    X2, Y2, Z2, T2 = p2
-    A = (Y1 - X1) * (Y2 - X2) % P
-    B = (Y1 + X1) * (Y2 + X2) % P
-    C = 2 * D * T1 % P * T2 % P
-    Dv = 2 * Z1 * Z2 % P
-    E = (B - A) % P
-    F = (Dv - C) % P
-    G = (Dv + C) % P
-    H = (B + A) % P
-    return ExtendedPoint(E * F % P, G * H % P, F * G % P, E * H % P)
+    return point_add_cached(p1, to_cached(p2))
 
 
 def point_negate(pt: ExtendedPoint) -> ExtendedPoint:
@@ -100,11 +143,11 @@ def point_double(pt: ExtendedPoint) -> ExtendedPoint:
     B = Y1 * Y1 % P
     C = 2 * Z1 * Z1 % P
     Dv = (X1 + Y1) * (X1 + Y1) % P
-    H = (B + A) % P
-    E = (H - Dv) % P
-    G = (A - B) % P
-    F = (C + G) % P
-    return ExtendedPoint(E * F % P, G * H % P, F * G % P, E * H % P)
+    H = B + A
+    E = H - Dv
+    G = A - B
+    F = C + G
+    return tuple.__new__(ExtendedPoint, (E * F % P, G * H % P, F * G % P, E * H % P))
 
 
 def point_equal(p1: ExtendedPoint, p2: ExtendedPoint) -> bool:
@@ -123,19 +166,26 @@ def scalar_mul(k: int, pt: ExtendedPoint) -> ExtendedPoint:
 
 def multi_scalar_mul(terms) -> ExtendedPoint:
     """sum(k_i * P_i) for (k_i, P_i) in terms, by the field's loop with
-    point_add as its combine and point_double as its square, so table
-    building never doubles.  The only user of point_double.  P_i may be a
-    point_comb.  An empty or all-zero term list gives the neutral point.
+    point_add_cached as its combine, point_double as its square and
+    from_cached as its start, so table building never doubles.  The only
+    user of point_double.  P_i may be a point_comb; any other P_i is
+    converted by to_cached.  An empty or all-zero term list gives the
+    neutral point.
     """
-    acc = straus(terms, point_add, point_double)
+    acc = straus(((k, pt if isinstance(pt, Comb) else to_cached(pt)) for k, pt in terms),
+                 point_add_cached, point_double, from_cached)
     return NEUTRAL if acc is None else acc
 
 
 def point_comb(*points: ExtendedPoint) -> Comb:
     """The comb of the points for scalars of up to Q's 253 bits: eight
     pieces of 32 bits for one point, four of 64 for two, two of 127 for
-    three or four, and one for five or more."""
-    return comb(points, Q.bit_length(), point_add, lambda p, k: scalar_mul(k, p))
+    three or four, and one for five or more.  Each entry (x, y) is kept in
+    cached form with Z = 1, (y+x, y-x, 2, 2d*x*y), by one to_affine_all."""
+    kept = comb(points, Q.bit_length(), point_add, lambda p, k: scalar_mul(k, p))
+    for i, (x, y) in enumerate(to_affine_all(kept.table[1:]), 1):  # in place: less peak memory
+        kept.table[i] = to_cached(ExtendedPoint(x, y, 1, x * y % P))
+    return kept
 
 
 def scalar_mul_counted(k: int, pt: ExtendedPoint) -> tuple[ExtendedPoint, int, int]:

@@ -4,7 +4,8 @@ Field elements and scalars are plain ints kept in canonical reduced form
 ([0, p) resp. [0, q)) at every operation boundary.  Inversion is extended
 Euclid (``mod_inv``).  Exponentiation is the package's one square-and-combine
 loop, ``straus``: Straus's simultaneous method over any group given its
-combine and square.  ``multi_mod_pow`` (whose one-term case is ``mod_pow``)
+combine, its square and, for table entries in a form of their own, its
+start.  ``multi_mod_pow`` (whose one-term case is ``mod_pow``)
 runs it mod m, and the curve's ``multi_scalar_mul`` on points.  Both loops
 are explicit interpreted code with no built-in pow.  No call builds a
 table: a ``Comb`` term brings the one its caller built once and keeps, and
@@ -59,10 +60,11 @@ def mod_inv(a: int, m: int) -> int:
 def fe_inv(a: int) -> int:
     """Multiplicative inverse mod p, by mod_inv; ZeroInverse for a == 0 mod p.
 
-    Every conversion to affine coordinates pays one: ``to_affine``, and so
-    each ``point_bytes`` in the ecc160 challenge (two per issue and two per
-    verify, as the issuer key's bytes are kept) and each point the wire
-    codecs encode.
+    Every conversion to affine coordinates pays one, for a whole list of
+    points: ``to_affine_all``, so one per ecc160 challenge, which encodes
+    the commitment and the nonce point together (one per issue and one per
+    verify, as the issuer key's bytes are kept), one per kept curve comb,
+    and one per point the wire codecs encode.
     """
     if a % P == 0:
         raise ZeroInverse("0 has no inverse mod p")
@@ -110,11 +112,13 @@ def comb(elems, bits, combine, power) -> Comb:
     return Comb(len(elems), pieces, width, _subsets(powers, combine))
 
 
-def straus(terms, combine, square):
+def straus(terms, combine, square, start=lambda entry: entry):
     """The combination of each term's element raised to its exponent, for
     (exponent, element) terms, by Straus's simultaneous method ("Addition
-    chains of vectors", 1964): combine(a, b) is the group operation and
-    square(a) combines a with itself.  None if no term has a non-zero
+    chains of vectors", 1964): combine(a, b) is the group operation,
+    square(a) combines a with itself, and start(entry) is a table entry as
+    a result, for tables whose entries have a form of their own (the
+    curve's cached points).  None if no term has a non-zero
     exponent; ValueError for a negative exponent, one too wide for its Comb,
     or more exponents than a Comb term's table has elements.
 
@@ -125,7 +129,7 @@ def straus(terms, combine, square):
     element's one-entry table [None, elem].  All groups share one chain,
     top bit first: square once per bit position below the top, and combine
     in each group's entry for the exponents with that bit set, if any.  The
-    first selected entry starts the result, so a call costs
+    first selected entry starts the result, through start, so a call costs
     max(bit_length) - 1 squarings over the exponents and comb pieces, and
     one combine per (bit position, group) whose column is not zero, minus
     1.  No call makes a table combine.  A one-term call without
@@ -165,7 +169,7 @@ def straus(terms, combine, square):
     for table, columns in groups:
         if columns[top]:
             entry = table[columns[top]]
-            acc = entry if acc is None else combine(acc, entry)
+            acc = start(entry) if acc is None else combine(acc, entry)
     for i in range(top - 1, -1, -1):
         acc = square(acc)
         for table, columns in groups:

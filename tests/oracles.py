@@ -58,6 +58,13 @@ def affine_double(p1):
     return x3, y3
 
 
+def ge_precomp(p1):
+    """An affine point as a kept table entry: Ed25519's ge_precomp form
+    (y+x, y-x, 2d*x*y), with 2Z = 2 as its third coordinate."""
+    x, y = p1
+    return (y + x) % P, (y - x) % P, 2, 2 * D * x * y % P
+
+
 def affine_scalar_mul(k, p1):
     """Repeated affine addition; identity is (0, 1)."""
     acc = (0, 1)

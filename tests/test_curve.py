@@ -16,8 +16,10 @@ from abclab.curve import (
     InvalidPoint,
     check_point,
     from_affine,
+    from_cached,
     multi_scalar_mul,
     point_add,
+    point_add_cached,
     point_comb,
     point_double,
     point_equal,
@@ -25,6 +27,8 @@ from abclab.curve import (
     scalar_mul,
     scalar_mul_counted,
     to_affine,
+    to_affine_all,
+    to_cached,
 )
 from abclab.field import ZeroInverse
 
@@ -46,6 +50,17 @@ TORSION_2 = ExtendedPoint(0, P - 1, 1, 0)
 
 def random_point(rng):
     return scalar_mul(rng.randrange(1, Q), BASE)
+
+
+def scaled(pt, lam):
+    """pt with its coordinates times lam: the same point, Z no longer 1."""
+    return ExtendedPoint(*(lam * c % P for c in pt))
+
+
+# A point in a projective form of its own: a multiple of B, scaled.
+projective_points = st.builds(
+    lambda k, lam: scaled(scalar_mul(k, BASE), lam),
+    st.integers(min_value=0, max_value=Q - 1), st.integers(min_value=1, max_value=P - 1))
 
 
 def assert_valid(pt):
@@ -119,6 +134,66 @@ class TestToAffine:
     def test_zero_z_rejected(self):
         with pytest.raises(ZeroInverse):
             to_affine(ExtendedPoint(0, 1, 0, 0))
+
+
+class TestToAffineAll:
+    """One inversion for a list of points, by Montgomery's trick."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(projective_points, min_size=1, max_size=5))
+    def test_matches_to_affine_point_by_point(self, points):
+        assert to_affine_all(points) == [to_affine(pt) for pt in points]
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(projective_points, min_size=1, max_size=5), st.data())
+    def test_any_zero_z_raises(self, points, data):
+        i = data.draw(st.integers(min_value=0, max_value=len(points) - 1))
+        points[i] = points[i]._replace(Z=data.draw(st.sampled_from([0, P, 3 * P])))
+        with pytest.raises(ZeroInverse):
+            to_affine_all(points)
+
+
+class TestCachedForm:
+    """point_add_cached against a kept entry, (y+x, y-x, 2, 2d*x*y), and
+    against a bare term's to_cached, (Y+X, Y-X, 2Z, 2d*T): both give
+    point_add's sum, which the affine oracle gives too."""
+
+    @staticmethod
+    def check(p1, p2):
+        want = point_add(p1, p2)
+        assert tuple(to_affine(want)) == oracles.affine_add(tuple(to_affine(p1)),
+                                                            tuple(to_affine(p2)))
+        for addend in (oracles.ge_precomp(tuple(to_affine(p2))), to_cached(p2)):
+            got = point_add_cached(p1, addend)
+            assert_valid(got)
+            assert point_equal(got, want)
+
+    @settings(max_examples=25, deadline=None)
+    @given(projective_points, projective_points)
+    def test_random_points(self, p1, p2):
+        self.check(p1, p2)
+
+    @settings(max_examples=15, deadline=None)
+    @given(projective_points)
+    def test_neutral_doubling_and_inverse(self, pt):
+        for p1, p2 in ((pt, NEUTRAL), (NEUTRAL, pt), (pt, pt), (pt, point_negate(pt)),
+                       (pt, TORSION_2)):
+            self.check(p1, p2)
+
+    @settings(max_examples=25, deadline=None)
+    @given(projective_points)
+    def test_straus_start_is_the_entry(self, pt):
+        for addend in (oracles.ge_precomp(tuple(to_affine(pt))), to_cached(pt)):
+            start = from_cached(addend)
+            assert_valid(start)
+            assert point_equal(start, pt)
+
+    def test_base_comb_entries(self):
+        # Entry m of B's comb is the sum of 2^(32 j) * B over the bits j of m.
+        table = point_comb(BASE).table
+        for m in (0b1, 0b10, 0b101, 0b10000000, 0b11111111):
+            k = sum(1 << 32 * j for j in range(8) if m >> j & 1)
+            assert table[m] == oracles.ge_precomp(oracles.affine_double_and_add(k, oracles.BASE))
 
 
 class TestPointAdd:
