@@ -25,8 +25,10 @@ z*B - c*Q_pub.  No request builds a table; the kept ones are:
   most once per bit position of a piece;
 - per scheme, the latest key's state -- -Q_pub's comb and point_bytes, or
   the R_i's combs, each built on the first representative that uses it --
-  in ``Scheme.load_public``, its one per-key cache, which checks the key;
-  keygen and the loaders fill it, issue and verify read it.
+  in ``Scheme.load_public``, its one per-key cache, which checks the public
+  part.  ``Scheme.check_key`` checks an issuer key's private half, then
+  loads its public part; keygen and the loaders fill the cache, issue and
+  verify read it.
 
 Every comb has the same shape (``field.comb``): the subset combinations of
 max(1, 8 // k) powers of each of its k elements, so a one-element comb
@@ -226,9 +228,11 @@ def ecc_keygen(rng=None) -> EccIssuerKey:
 
 
 def check_ecc_key(key: EccIssuerKey) -> None:
-    """Raise InconsistentKey unless public == secret * B."""
+    """Raise InconsistentKey unless public == secret * B, then keep the
+    public part by load_ecc_public: a key that fails builds no comb."""
     if not point_equal(key.public, multi_scalar_mul([(key.secret, _B_COMB)])):
         raise InconsistentKey("public is not secret * B")
+    load_ecc_public(key.public)
 
 
 @functools.cache  # one per attribute count, kept for the process
@@ -411,38 +415,20 @@ def rsa_keygen(rng=None) -> ModexpIssuerKey:
             break
     key = ModexpIssuerKey(p1=p1, p2=p2, n=n, e=e, d=d)
     check_rsa_key(key)
-    load_rsa_public(key.public)
     return key
 
 
-def check_modulus(n: int) -> None:
-    """Raise InconsistentKey unless n has exactly MODULUS_BITS bits."""
-    if n.bit_length() != MODULUS_BITS:
-        raise InconsistentKey(f"n is not {MODULUS_BITS} bits")
-
-
-def check_public_exponent(public: ModexpPublic) -> None:
-    """Raise InconsistentKey unless e is odd with 2^PUBLIC_EXPONENT_MIN_BITS
-    <= e < n, rsa_keygen's rule.  An e of 1 accepts the representative as
-    its own signature, and a short e changes the cost profile that verify
-    measures."""
-    n, e = public
-    if not (e & 1 and 1 << PUBLIC_EXPONENT_MIN_BITS <= e < n):
-        raise InconsistentKey(f"e is not odd in [2^{PUBLIC_EXPONENT_MIN_BITS}, n)")
-
-
 def check_rsa_key(key: ModexpIssuerKey) -> None:
-    """Raise InconsistentKey unless p1 != p2, n == p1 * p2, n has exactly
-    MODULUS_BITS bits, e passes check_public_exponent and e * d == 1 mod
-    lcm(p1 - 1, p2 - 1), which rsa_issue's CRT and fdh rely on, and
-    d >= 2^PUBLIC_EXPONENT_MIN_BITS as rsa_keygen draws it: a short d
-    changes the cost profile that issue measures."""
+    """Raise InconsistentKey unless p1 != p2, n == p1 * p2, load_rsa_public
+    accepts and keeps the public part, e * d == 1 mod lcm(p1 - 1, p2 - 1),
+    which rsa_issue's CRT and fdh rely on, and d >= 2^PUBLIC_EXPONENT_MIN_BITS
+    as rsa_keygen draws it: a short d changes the cost profile that issue
+    measures."""
     if key.p1 == key.p2:
         raise InconsistentKey("p1 == p2")
     if key.n != key.p1 * key.p2:
         raise InconsistentKey("n is not p1 * p2")
-    check_modulus(key.n)
-    check_public_exponent(key.public)
+    load_rsa_public(key.public)
     lam = math.lcm(key.p1 - 1, key.p2 - 1)
     if not lam or key.e * key.d % lam != 1:
         raise InconsistentKey("e * d is not 1 mod lcm(p1 - 1, p2 - 1)")
@@ -480,11 +466,15 @@ def _attr_digest(i: int, value: int) -> int:
 def load_rsa_public(public: ModexpPublic) -> Callable[[int], Comb]:
     """What a request needs of a public key: i -> the comb of R_i, for
     modexp_representative, each built on its first use and kept with the
-    key.  InconsistentKey unless n has MODULUS_BITS bits and e passes
-    check_public_exponent."""
-    n = public.n
-    check_modulus(n)
-    check_public_exponent(public)
+    key.  InconsistentKey unless n has exactly MODULUS_BITS bits and e is
+    odd with 2^PUBLIC_EXPONENT_MIN_BITS <= e < n, rsa_keygen's rule: an e of
+    1 accepts the representative as its own signature, and a short e
+    changes the cost profile that verify measures."""
+    n, e = public
+    if n.bit_length() != MODULUS_BITS:
+        raise InconsistentKey(f"n is not {MODULUS_BITS} bits")
+    if not (e & 1 and 1 << PUBLIC_EXPONENT_MIN_BITS <= e < n):
+        raise InconsistentKey(f"e is not odd in [2^{PUBLIC_EXPONENT_MIN_BITS}, n)")
     return functools.cache(lambda i: mod_comb(derive_modexp_base(n, i), 256, n))
 
 
@@ -561,7 +551,7 @@ class Scheme:
     keygen: Callable      # (rng) -> issuer key
     issue: Callable       # (key, attrs, rng) -> credential
     verify: Callable      # (public part, credential) -> bool; raises for a bad public part
-    check_key: Callable   # (key) -> None; raises InconsistentKey
+    check_key: Callable   # (key) -> None; raises InconsistentKey, else load_public(key.public)
     load_public: Callable  # (public part) -> what a request needs of it, kept; raises if bad
     credential: Layout    # every credential also carries its attributes
     public: Layout

@@ -255,13 +255,12 @@ def key_to_wire(scheme_name: str, key) -> dict:
 
 
 def key_from_wire(doc):
-    """Decode an issuer key, check that its fields belong together and keep
-    its comb tables."""
+    """Decode an issuer key and admit it by its scheme's check_key: its
+    fields must belong together, and its public part is kept."""
     found = _scheme_of(doc, "key")
     key = _layout_from_wire(found.key, doc)
     try:
         found.check_key(key)
-        found.load_public(key.public)
     except scheme.InconsistentKey as exc:
         raise MalformedCredential(f"inconsistent {found.name} key: {exc}") from None
     return found.name, key

@@ -824,19 +824,21 @@ class TestMutationSoundness:
 
 
 class TestChecksPerCall:
-    """Each entry point checks its attributes once, and once a key's tables
-    exist, a request checks its modulus or public point no more: an ecc160
-    verify checks only the credential's two points."""
+    """Each entry point checks its attributes once, and once a key is kept,
+    a request loads it no more, so it checks no modulus or public point: an
+    ecc160 verify checks only the credential's two points."""
 
     @pytest.mark.parametrize("phase", ["issue", "verify"])
     @pytest.mark.parametrize("name", scheme.SCHEME_NAMES)
-    def test_one_attribute_check_and_no_modulus_check(
+    def test_one_attribute_check_and_no_key_load(
             self, ecc_key, rsa_key, monkeypatch, name, phase):
         key = {"ecc160": ecc_key, "modexp1024": rsa_key}[name]
         public = scheme.public_part(name, key)
-        scheme.lookup(name).load_public(public)
+        load = scheme.lookup(name).load_public
+        load(public)
         cred = scheme.issue(name, key, DEFAULT_ATTRIBUTES, random.Random(16))
-        counts = {"check_attributes": 0, "check_modulus": 0, "check_point": 0}
+        misses = load.cache_info().misses
+        counts = {"check_attributes": 0, "check_point": 0}
         for check in counts:
             def counted(*args, check=check, real=getattr(scheme, check)):
                 counts[check] += 1
@@ -847,7 +849,8 @@ class TestChecksPerCall:
         else:
             assert scheme.verify(name, public, cred)
         points = 2 if (name, phase) == ("ecc160", "verify") else 0
-        assert counts == {"check_attributes": 1, "check_modulus": 0, "check_point": points}
+        assert counts == {"check_attributes": 1, "check_point": points}
+        assert load.cache_info().misses == misses
 
 
 class TestDispatch:

@@ -246,16 +246,34 @@ class TestKeyCodec:
         with pytest.raises(MalformedCredential):
             key_from_wire(doc)
 
-    @pytest.mark.parametrize("name, field, corrupt", [
-        ("modexp1024", "n", lambda key: key.n - 2),
-        ("modexp1024", "d", lambda key: key.d ^ 2),
-        ("ecc160", "public", lambda key: point_add(key.public, BASE)),
+    # A key that fails before its public part is checked loads nothing.  One
+    # whose public part passes keeps it, though e * d then fails.
+    @pytest.mark.parametrize("name, field, corrupt, loads", [
+        ("modexp1024", "n", lambda key: key.n - 2, 0),
+        ("modexp1024", "d", lambda key: key.d ^ 2, 1),
+        ("ecc160", "public", lambda key: point_add(key.public, BASE), 0),
     ], ids=["n-not-p1-p2", "d-not-inverse-of-e", "public-not-secret-B"])
-    def test_inconsistent_key_rejected(self, name, field, corrupt, ecc_key, rsa_key):
+    def test_inconsistent_key_rejected(self, name, field, corrupt, loads, ecc_key, rsa_key):
         key = {"ecc160": ecc_key, "modexp1024": rsa_key}[name]
+        load = scheme.lookup(name).load_public
+        load.cache_clear()
         doc = key_to_wire(name, dataclasses.replace(key, **{field: corrupt(key)}))
         with pytest.raises(MalformedCredential, match="inconsistent"):
             key_from_wire(doc)
+        assert load.cache_info().misses == loads
+
+    @pytest.mark.parametrize("name", scheme.SCHEME_NAMES)
+    def test_a_key_document_is_loaded_once(self, name, ecc_key, rsa_key):
+        key = {"ecc160": ecc_key, "modexp1024": rsa_key}[name]
+        load = scheme.lookup(name).load_public
+        scheme.keygen(name, random.Random(33))  # evicts key's public part
+        misses = load.cache_info().misses
+        found, back = key_from_wire(key_to_wire(name, key))
+        assert found == name
+        assert load.cache_info().misses == misses + 1
+        hits = load.cache_info().hits
+        load(back.public)
+        assert load.cache_info()[:2] == (hits + 1, misses + 1)
 
     def test_modulus_of_the_wrong_width_rejected(self):
         # Consistent otherwise: n == 3 * 5 and e * d == 1 mod lcm(2, 4).
