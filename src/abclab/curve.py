@@ -78,22 +78,22 @@ def from_affine(pt: AffinePoint) -> ExtendedPoint:
     return check_point(ExtendedPoint(pt.x, pt.y, 1, pt.x * pt.y % P))
 
 
-def to_affine_all(points) -> list[AffinePoint]:
-    """(X/Z, Y/Z) of each point, by Montgomery's trick: one fe_inv of the
-    product of the Zs, which raises ZeroInverse if any Z == 0 mod p, and
-    three multiplications more per point."""
+def to_affine_all(points: list, form=AffinePoint) -> list:
+    """points with each point replaced in place by form(X/Z, Y/Z), walking
+    back, by Montgomery's trick: one fe_inv of the product of the Zs, which
+    raises ZeroInverse, points unchanged, if any Z == 0 mod p, and three
+    multiplications more per point.  So no second list is ever built."""
     prefix = [1]  # prefix[i] is the product of the first i Zs
     for pt in points:
         prefix.append(prefix[-1] * pt.Z % P)
     inv = fe_inv(prefix.pop())  # 1 / (the product of all the Zs)
-    out = []
     # Walking back, inv is 1 / (the product of the Zs up to this point's).
-    for X, Y, Z, _ in reversed(points):
+    for i in range(len(points) - 1, -1, -1):
+        X, Y, Z, _ = points[i]
         z_inv = inv * prefix.pop() % P
         inv = inv * Z % P
-        out.append(AffinePoint(X * z_inv % P, Y * z_inv % P))
-    out.reverse()
-    return out
+        points[i] = form(X * z_inv % P, Y * z_inv % P)
+    return points
 
 
 def to_affine(pt: ExtendedPoint) -> AffinePoint:
@@ -178,14 +178,18 @@ def multi_scalar_mul(terms) -> ExtendedPoint:
 
 
 def point_comb(*points: ExtendedPoint) -> Comb:
-    """The comb of the points for scalars of up to Q's 253 bits: eight
-    pieces of 32 bits for one point, four of 64 for two, two of 127 for
-    three or four, and one for five or more.  Each entry (x, y) is kept in
-    cached form with Z = 1, (y+x, y-x, 2, 2d*x*y), by one to_affine_all."""
-    kept = comb(points, Q.bit_length(), point_add, lambda p, k: scalar_mul(k, p))
-    for i, (x, y) in enumerate(to_affine_all(kept.table[1:]), 1):  # in place: less peak memory
-        kept.table[i] = to_cached(ExtendedPoint(x, y, 1, x * y % P))
-    return kept
+    """The comb of the points for scalars below 2^256, and 2^253 from five
+    points on: two tables of eight 16-bit pieces for one point, four of 32
+    for two, two of 64 for three or four, and one of one piece from five.
+    Each entry (x, y) is kept in cached form with Z = 1, (y+x, y-x, 2,
+    2d*x*y), by one to_affine_all over both tables."""
+    return comb(points, Q.bit_length(), point_add, lambda p, k: scalar_mul(k, p),
+                lambda entries: to_affine_all(entries, _kept_entry))
+
+
+def _kept_entry(x: int, y: int) -> tuple:
+    """The affine point (x, y) as a point_comb entry: to_cached of (x : y : 1 : xy)."""
+    return (y + x) % P, (y - x) % P, 2, _D2 * x * y % P
 
 
 def scalar_mul_counted(k: int, pt: ExtendedPoint) -> tuple[ExtendedPoint, int, int]:

@@ -8,7 +8,7 @@ combine, its square and, for table entries in a form of their own, its
 start.  ``multi_mod_pow`` (whose one-term case is ``mod_pow``)
 runs it mod m, and the curve's ``multi_scalar_mul`` on points.  Both loops
 are explicit interpreted code with no built-in pow.  No call builds a
-table: a ``Comb`` term brings the one its caller built once and keeps, and
+table: a ``Comb`` term brings the ones its caller built once and keeps, and
 any other term is its own one-entry table.  All functions are pure and safe
 to call concurrently.
 """
@@ -23,10 +23,10 @@ P = 2**255 - 19
 # Order of the base point; modulus of the scalar ring.
 Q = 2**252 + 27742317777372353535851937790883648493
 
-# Index bits of a kept table: a Comb of k elements keeps the subset
-# combinations of max(1, 8 // k) powers of each, so a one-element comb runs
-# an exponent of b bits as eight pieces of ceil(b / 8) bits over 2^8
-# entries, with at most one combine per bit position of a piece.
+# Index bits of one kept table: a Comb of k elements keeps the subset
+# combinations of max(1, 8 // k) powers of each, in two tables up to k = 4,
+# so a one-element comb runs a b-bit exponent as sixteen ceil(b / 16)-bit
+# pieces, with at most one combine per bit position of a piece and table.
 COMB_BITS = 8
 
 
@@ -63,8 +63,10 @@ def fe_inv(a: int) -> int:
     Every conversion to affine coordinates pays one, for a whole list of
     points: ``to_affine_all``, so one per ecc160 challenge, which encodes
     the commitment and the nonce point together (one per issue and one per
-    verify, as the issuer key's bytes are kept), one per kept curve comb,
-    and one per point the wire codecs encode.
+    verify, as the issuer key's bytes are kept), one per ecc160 keygen, one
+    per kept curve comb, and one per point the wire codecs encode.  Issue,
+    keygen and the codecs give points with Z = 1, so verifying or encoding
+    them inverts 1, in two steps of mod_inv's loop.
     """
     if a % P == 0:
         raise ZeroInverse("0 has no inverse mod p")
@@ -80,11 +82,11 @@ def mod_pow(base: int, exp: int, modulus: int) -> int:
     return multi_mod_pow([(base, exp)], modulus)
 
 
-class Comb(NamedTuple):  # a kept fixed-base table; see comb()
+class Comb(NamedTuple):  # kept fixed-base tables; see comb()
     count: int
-    pieces: int
+    pieces: int   # per table
     width: int
-    table: list
+    tables: tuple
 
 
 def _subsets(elems, combine) -> list:
@@ -95,21 +97,31 @@ def _subsets(elems, combine) -> list:
     return table
 
 
-def comb(elems, bits, combine, power) -> Comb:
-    """A table to keep for elems fixed in advance, for exponents of up to
-    bits bits (Lim and Lee, CRYPTO '94; Moller, SAC 2001): the _subsets of
-    the powers elem^(2^(j*width)) of each element, j < pieces, by
-    power(a, e) = a^e, with pieces = max(1, COMB_BITS // count) and width =
-    ceil(bits / pieces).  So the table has 256 entries for one, two or four
-    elements, 64 for three, and 2^count from five on."""
+def comb(elems, bits, combine, power, form=lambda entries: entries) -> Comb:
+    """Tables to keep for elems fixed in advance, for exponents of up to
+    bits bits (Lim and Lee, CRYPTO '94; Moller, SAC 2001): table h is the
+    _subsets of the powers elem^(2^(j*width)) of each element, by power(a,
+    e) = a^e, for the pieces = max(1, COMB_BITS // count) j from h*pieces
+    on.  Up to four elements two tables, the low and the high half of an
+    exponent, share a chain of width = ceil(bits / (2*pieces)) bits, each
+    of 256 entries (64 for three); from five on one table of 2^count, width
+    = bits.  form(entries) turns the entries but the Nones into their kept
+    form, in place."""
     pieces = max(1, COMB_BITS // len(elems))
-    width = -(-bits // pieces)
-    powers = []
-    for elem in elems:
-        powers.append(elem)
-        for _ in range(pieces - 1):
-            powers.append(power(powers[-1], 1 << width))
-    return Comb(len(elems), pieces, width, _subsets(powers, combine))
+    tables = 2 if pieces > 1 else 1
+    width = -(-bits // (tables * pieces))
+    rows = [[elem] for elem in elems]
+    for row in rows:
+        while len(row) < tables * pieces:
+            row.append(power(row[-1], 1 << width))
+    entries = []
+    for h in range(tables):
+        entries += _subsets([row[j] for row in rows for j in range(h * pieces, (h + 1) * pieces)],
+                            combine)[1:]
+    form(entries)
+    size = len(entries) // tables
+    return Comb(len(elems), pieces, width,
+                tuple([None] + entries[h * size:(h + 1) * size] for h in range(tables)))
 
 
 def straus(terms, combine, square, start=lambda entry: entry):
@@ -122,18 +134,19 @@ def straus(terms, combine, square, start=lambda entry: entry):
     exponent; ValueError for a negative exponent, one too wide for its Comb,
     or more exponents than a Comb term's table has elements.
 
-    Terms whose exponents are all zero are dropped.  Each other term is a
-    group of its own, over a table no call builds: a Comb term's kept table,
-    whose exponent is an int or one exponent per element, with each
-    exponent's width-bit pieces as the exponents of its powers; any other
-    element's one-entry table [None, elem].  All groups share one chain,
-    top bit first: square once per bit position below the top, and combine
-    in each group's entry for the exponents with that bit set, if any.  The
-    first selected entry starts the result, through start, so a call costs
-    max(bit_length) - 1 squarings over the exponents and comb pieces, and
-    one combine per (bit position, group) whose column is not zero, minus
-    1.  No call makes a table combine.  A one-term call without
-    a kept table costs bit_length - 1 squarings and popcount - 1 combines.
+    Terms whose exponents are all zero are dropped.  Each other term gives
+    groups over tables no call builds: a Comb term one group per kept table
+    whose pieces are not all zero, with an int or one exponent per element,
+    each exponent's width-bit pieces the exponents of the table's powers;
+    any other element one group over its one-entry table [None, elem].  All
+    groups share one chain, top bit first: square once per bit position
+    below the top, and combine in each group's entry for the exponents with
+    that bit set, if any.  The first selected entry starts the result,
+    through start, so a call costs max(bit_length) - 1 squarings over the
+    exponents and comb pieces, and one combine per (bit position, group)
+    whose column is not zero, minus 1.  No call makes a table combine.  A
+    one-term call without a kept table costs bit_length - 1 squarings and
+    popcount - 1 combines.
     """
     groups = []   # (table, the exponent of each of its elements)
     for exp, elem in terms:
@@ -147,11 +160,13 @@ def straus(terms, combine, square, start=lambda entry: entry):
             if len(exps) > elem.count:
                 raise ValueError("more exponents than its table has elements")
             pieces, width = elem.pieces, elem.width
-            if any(e >> pieces * width for e in exps):
+            if any(e >> len(elem.tables) * pieces * width for e in exps):
                 raise ValueError("exponent too wide for its comb")
             mask = (1 << width) - 1
-            groups.append((elem.table, [e >> j * width & mask
-                                        for e in exps for j in range(pieces)]))
+            for h, table in enumerate(elem.tables):
+                split = [e >> (h * pieces + j) * width & mask for e in exps for j in range(pieces)]
+                if any(split):
+                    groups.append((table, split))
         else:
             groups.append(([None, elem], exps))
     if not groups:

@@ -31,12 +31,15 @@ z*B - c*Q_pub.  No request builds a table; the kept ones are:
   verify read it.
 
 Every comb has the same shape (``field.comb``): the subset combinations of
-max(1, 8 // k) powers of each of its k elements, so a one-element comb
-holds 256 entries and runs a 253-bit scalar in 31 doublings.  A curve comb
-keeps its entries in the cached affine form of ``curve.point_comb``, so
-each of its additions costs 7 multiplications mod p, not 9.  Each ecc160
-challenge pays one field inversion, for the commitment and the nonce point
-together (``point_bytes``).
+max(1, 8 // k) powers of each of its k elements, in two tables, over the
+low and the high half of each exponent, up to four elements, so a
+one-element comb holds twice 256 entries and runs a 253-bit scalar in 15
+doublings.  A curve comb keeps its entries in the cached affine form of
+``curve.point_comb``, so each of its additions costs 7 multiplications mod
+p, not 9.  Each ecc160 challenge pays one field inversion, for the
+commitment and the nonce point together; ecc_issue returns both with Z = 1
+from it, and keygen the public point, as their documents decode them, so
+a verify or an encoding of them inverts only 1.
 
 Each scheme is one ``Scheme`` object in the ``SCHEMES`` registry: its
 protocol functions, its key check and the wire layouts of its documents.
@@ -67,10 +70,11 @@ from .curve import (
     point_equal,
     point_negate,
     scalar_mul,  # not called here; perfbench's traced run wraps it by this name
+    to_affine,
     to_affine_all,
 )
 from .field import (
-    Comb, Q, encode32, mod_comb, mod_inv, mod_pow, multi_mod_pow, sc_reduce_wide,
+    P, Q, Comb, encode32, mod_comb, mod_inv, mod_pow, multi_mod_pow, sc_reduce_wide,
 )
 
 MAX_ATTRIBUTES = 10
@@ -181,10 +185,16 @@ def encode_attributes(attrs: tuple[int, ...]) -> bytes:
     return bytes([len(attrs)]) + b"".join(encode32(a) for a in attrs)
 
 
-def point_bytes(*points: ExtendedPoint) -> bytes:
-    """The uncompressed 64-byte affine encodings of the points, used in hash
-    inputs, by one to_affine_all: one field inversion for them all."""
-    return b"".join(encode32(x) + encode32(y) for x, y in to_affine_all(points))
+def point_bytes(affine) -> bytes:
+    """The uncompressed 64-byte encodings of affine (x, y) points, used in
+    hash inputs."""
+    return b"".join(encode32(x) + encode32(y) for x, y in affine)
+
+
+def _with_z1(affine) -> list[ExtendedPoint]:
+    """Each affine (x, y) as the point (x : y : 1 : xy), by one mulmod: the
+    form a decoded document gives, so a later to_affine inverts only 1."""
+    return [ExtendedPoint(x, y, 1, x * y % P) for x, y in affine]
 
 
 # ---------------------------------------------------------------------------
@@ -196,14 +206,14 @@ _B_COMB = point_comb(BASE)
 
 @functools.lru_cache(maxsize=1)  # kept for the latest ecc160 key only
 def load_ecc_public(public: ExtendedPoint) -> tuple[Comb, bytes]:
-    """The comb of -public, for ecc_verify, and point_bytes(public), for
-    _challenge; InvalidPoint unless public is on the curve, and
+    """The comb of -public, for ecc_verify, and the point_bytes of public,
+    for _challenge; InvalidPoint unless public is on the curve, and
     InconsistentKey if 8 * public is the neutral point: c * public then
     takes at most eight values, and at the neutral point z * B passes as
     the nonce point for any z."""
     if point_equal(multi_scalar_mul([(8, check_point(public))]), NEUTRAL):
         raise InconsistentKey("public is a point of order dividing 8")
-    return point_comb(point_negate(public)), point_bytes(public)
+    return point_comb(point_negate(public)), point_bytes([to_affine(public)])
 
 
 @functools.cache
@@ -220,9 +230,12 @@ def derive_generator(i: int) -> ExtendedPoint:
 
 
 def ecc_keygen(rng=None) -> EccIssuerKey:
+    """A random secret x and its public x * B with Z = 1, the form its key
+    document decodes to, so both load as one kept key."""
     rng = rng or _SYSTEM_RNG
     x = rng.randrange(1, Q)
-    key = EccIssuerKey(secret=x, public=multi_scalar_mul([(x, _B_COMB)]))
+    public, = _with_z1([to_affine(multi_scalar_mul([(x, _B_COMB)]))])
+    key = EccIssuerKey(secret=x, public=public)
     load_ecc_public(key.public)
     return key
 
@@ -248,27 +261,28 @@ def ecc_commit(attrs: tuple[int, ...]) -> ExtendedPoint:
     return multi_scalar_mul([(attrs, commit_table(len(attrs)))])
 
 
-def _challenge(public: ExtendedPoint, commitment: ExtendedPoint,
-               nonce_point: ExtendedPoint, attrs) -> int:
+def _challenge(public: ExtendedPoint, affine, attrs) -> int:
+    """c for the affine (x, y) of the commitment and the nonce point."""
     digest = hashlib.sha256(
         _TAG_SIGNATURE
         + load_ecc_public(public)[1]
-        + point_bytes(commitment, nonce_point)
+        + point_bytes(affine)
         + encode_attributes(attrs)
     ).digest()
     return sc_reduce_wide(digest)
 
 
 def ecc_issue(key: EccIssuerKey, attrs, rng=None) -> EccCredential:
-    """Commit to the attributes and sign the commitment Schnorr-style."""
+    """Commit to the attributes and sign the commitment Schnorr-style.  The
+    challenge's one fe_inv also gives the credential its points with Z = 1."""
     rng = rng or _SYSTEM_RNG
     attrs = check_attributes(attrs)
     commitment = ecc_commit(attrs)
     k = rng.randrange(1, Q)
-    nonce_point = multi_scalar_mul([(k, _B_COMB)])
-    c = _challenge(key.public, commitment, nonce_point, attrs)
+    affine = to_affine_all([commitment, multi_scalar_mul([(k, _B_COMB)])])
+    c = _challenge(key.public, affine, attrs)
     z = (k + c * key.secret) % Q
-    return EccCredential(attrs, commitment, nonce_point, z)
+    return EccCredential(attrs, *_with_z1(affine), z)
 
 
 def ecc_verify(public: ExtendedPoint, cred: EccCredential) -> bool:
@@ -290,7 +304,7 @@ def ecc_verify(public: ExtendedPoint, cred: EccCredential) -> bool:
         return False
     if not point_equal(ecc_commit(attrs), cred.commitment):
         return False
-    c = _challenge(public, cred.commitment, cred.nonce_point, attrs)
+    c = _challenge(public, to_affine_all([cred.commitment, cred.nonce_point]), attrs)
     lhs = multi_scalar_mul([(cred.response, _B_COMB), (c, public_comb)])
     return point_equal(lhs, cred.nonce_point)
 

@@ -137,20 +137,25 @@ class TestToAffine:
 
 
 class TestToAffineAll:
-    """One inversion for a list of points, by Montgomery's trick."""
+    """One inversion for a list of points, by Montgomery's trick, which
+    converts the list in place."""
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(projective_points, min_size=1, max_size=5))
     def test_matches_to_affine_point_by_point(self, points):
-        assert to_affine_all(points) == [to_affine(pt) for pt in points]
+        converted = list(points)
+        assert to_affine_all(converted) is converted
+        assert converted == [to_affine(pt) for pt in points]
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(projective_points, min_size=1, max_size=5), st.data())
     def test_any_zero_z_raises(self, points, data):
         i = data.draw(st.integers(min_value=0, max_value=len(points) - 1))
         points[i] = points[i]._replace(Z=data.draw(st.sampled_from([0, P, 3 * P])))
+        before = list(points)
         with pytest.raises(ZeroInverse):
             to_affine_all(points)
+        assert points == before
 
 
 class TestCachedForm:
@@ -189,11 +194,13 @@ class TestCachedForm:
             assert point_equal(start, pt)
 
     def test_base_comb_entries(self):
-        # Entry m of B's comb is the sum of 2^(32 j) * B over the bits j of m.
-        table = point_comb(BASE).table
-        for m in (0b1, 0b10, 0b101, 0b10000000, 0b11111111):
-            k = sum(1 << 32 * j for j in range(8) if m >> j & 1)
-            assert table[m] == oracles.ge_precomp(oracles.affine_double_and_add(k, oracles.BASE))
+        # Entry m of B's table h is the sum of 2^(16 (8h + j)) * B over the
+        # bits j of m.
+        for h, table in enumerate(point_comb(BASE).tables):
+            for m in (0b1, 0b10, 0b101, 0b10000000, 0b11111111):
+                k = sum(1 << 16 * (8 * h + j) for j in range(8) if m >> j & 1)
+                assert table[m] == oracles.ge_precomp(
+                    oracles.affine_double_and_add(k, oracles.BASE))
 
 
 class TestPointAdd:
@@ -449,7 +456,7 @@ class TestMultiScalarMul:
         rng = random.Random(0x5B5)
         points = [random_point(rng) for _ in range(7)]
         kept = point_comb(*points)
-        assert (kept.pieces, len(kept.table)) == (1, 2**7)
+        assert (kept.pieces, [len(table) for table in kept.tables]) == (1, [2**7])
         scalars = [rng.getrandbits(rng.randrange(1, 200)) for _ in points]
         scalars[2] = 0
         point_op_counts.update(double=0, add=0)
@@ -465,7 +472,7 @@ class TestMultiScalarMul:
         assert tuple(to_affine(got)) == want
 
     def test_kept_subsets_term_edge_cases(self):
-        kept = point_comb(BASE, scalar_mul(3, BASE))  # four pieces of 64 bits each
+        kept = point_comb(BASE, scalar_mul(3, BASE))  # two tables of four 32-bit pieces each
         assert point_equal(multi_scalar_mul([([0, 0], kept)]), NEUTRAL)
         assert point_equal(multi_scalar_mul([([0, 0], kept), (2, BASE)]), scalar_mul(2, BASE))
         assert point_equal(multi_scalar_mul([([Q - 1, 1], kept)]), scalar_mul(2, BASE))

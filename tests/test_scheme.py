@@ -230,7 +230,8 @@ class TestChallengeInversions:
     """The issuer's public point is encoded once per key, by keygen or the
     key loader: each challenge then inverts only the product of the
     commitment's and the nonce point's Z, in the first issue under a fresh
-    key too."""
+    key too.  ecc_issue returns both points with Z = 1, so a verify or an
+    encoding of its credential inverts only 1."""
 
     @pytest.mark.parametrize("phase", ["issue", "verify", "first-issue-after-keygen",
                                        "first-issue-after-key_from_wire"])
@@ -251,6 +252,22 @@ class TestChallengeInversions:
         else:
             ecc_issue(key, DEFAULT_ATTRIBUTES[:2], random.Random(3))
         assert len(calls) == 1
+        if phase == "verify":
+            assert calls == [1]
+
+    def test_issued_points_have_z_1(self, ecc_key, monkeypatch):
+        attrs = DEFAULT_ATTRIBUTES[:2]
+        cred = ecc_issue(ecc_key, attrs, random.Random(3))
+        assert (cred.commitment.Z, cred.nonce_point.Z) == (1, 1)
+        check_point(cred.commitment)
+        check_point(cred.nonce_point)
+        assert point_equal(cred.commitment, ecc_commit(attrs))
+        assert ecc_keygen(random.Random(31)).public.Z == 1
+        calls = []
+        real = curve.fe_inv
+        monkeypatch.setattr(curve, "fe_inv", lambda a: calls.append(a) or real(a))
+        wire.credential_to_wire("ecc160", cred)  # what the issuer service sends
+        assert calls == [1, 1]
 
 
 class TestEccPointOpCounts:
@@ -289,40 +306,45 @@ class TestEccPointOpCounts:
         assert calls == pins
         assert (point_op_counts["double"], point_op_counts["add"]) == tuple(map(sum, zip(*pins)))
 
-    # One group over the kept comb: one addition per bit position of a
-    # piece where some attribute has a 1, minus 1.  One attribute runs as
-    # eight 32-bit pieces, so at most 31 doublings; from five attributes on
-    # the comb is the subset table alone.  A 2-entry subset table gave
-    # (61, 30) at 1 attribute.
-    @pytest.mark.parametrize("count, ops", [(1, (30, 23)), (5, (70, 65)), (10, (108, 92))])
+    # One group per kept table with a non-zero piece: one addition per
+    # (bit position of a piece, table) where some attribute has a 1, minus
+    # 1.  One attribute runs as two tables of eight 16-bit pieces, so at
+    # most 15 doublings, and the 62-bit fixture never reaches the high
+    # table; from five attributes on the comb is the subset table alone.
+    # One table of eight 32-bit pieces gave (30, 23) at 1 attribute, and a
+    # 2-entry subset table (61, 30).
+    @pytest.mark.parametrize("count, ops", [(1, (14, 13)), (5, (70, 65)), (10, (108, 92))])
     def test_commitment_on_fixture_attributes(self, per_call, point_op_counts, count, ops):
         ecc_commit(DEFAULT_ATTRIBUTES[:count])
         self.assert_pinned(per_call, point_op_counts, [ops])
 
     # Past 5 attributes nearly every one of the 251 columns is non-empty;
-    # one attribute's eight pieces fill all 32 columns of its comb, where
-    # a 2-entry subset table gave (251, 128).
-    @pytest.mark.parametrize("count, ops", [(1, (31, 31)), (5, (251, 242)), (10, (251, 251))])
+    # one attribute's sixteen pieces fill all 16 columns of both its
+    # tables, where one table gave (31, 31) and a 2-entry subset table
+    # (251, 128).
+    @pytest.mark.parametrize("count, ops", [(1, (15, 31)), (5, (251, 242)), (10, (251, 251))])
     def test_commitment_on_full_width_attributes(self, per_call, point_op_counts, count, ops):
         ecc_commit(FULL_WIDTH_ATTRIBUTES[:count])
         self.assert_pinned(per_call, point_op_counts, [ops])
 
     def test_issue_nonce(self, key, per_call, point_op_counts):
-        # The commitment, then k*B on B's comb: k is eight 32-bit pieces, so
-        # 31 doublings, and all 32 columns are non-empty, minus 1.  Five
-        # 51-bit pieces gave (50, 49).
+        # The commitment, then k*B on B's two tables: k is sixteen 16-bit
+        # pieces, so 15 doublings, and all 2 * 16 columns are non-empty,
+        # minus 1.  One table of eight 32-bit pieces gave (31, 31), and five
+        # 51-bit pieces (50, 49).
         ecc_issue(key, DEFAULT_ATTRIBUTES[:1], random.Random(1))
-        self.assert_pinned(per_call, point_op_counts, [(30, 23), (31, 31)])
+        self.assert_pinned(per_call, point_op_counts, [(14, 13), (15, 31)])
 
     def test_verify_joint_sum(self, key, per_call, point_op_counts):
         # The commitment, then z*B - c*Q_pub on the combs of B and -Q_pub:
-        # two groups of eight 32-bit pieces, so 31 doublings, and all 64
-        # columns are non-empty, minus 1.  Five 51-bit pieces gave (50, 94).
+        # four groups, one per table, of eight 16-bit pieces, so 15
+        # doublings, and all 64 columns are non-empty, minus 1.  One table
+        # per comb gave (31, 63), and five 51-bit pieces (50, 94).
         cred = ecc_issue(key, DEFAULT_ATTRIBUTES[:1], random.Random(1))
         del per_call[:]
         point_op_counts.update(double=0, add=0)
         assert ecc_verify(key.public, cred)
-        self.assert_pinned(per_call, point_op_counts, [(30, 23), (31, 63)])
+        self.assert_pinned(per_call, point_op_counts, [(14, 13), (15, 63)])
 
 
 class TestModexpMulmodCounts:
@@ -362,11 +384,12 @@ class TestModexpMulmodCounts:
         return calls
 
     # The exponents are the attribute digests, which do not depend on the
-    # modulus.  On the R_i combs each is eight 32-bit pieces, so every count
-    # makes 31 squarings and one multiplication per non-empty column of each
-    # attribute, minus 1.  Five 52-bit pieces gave (51, 51), (51, 254) and
-    # (51, 500).
-    @pytest.mark.parametrize("count, ops", [(1, (31, 31)), (5, (31, 159)), (10, (31, 317))])
+    # modulus.  On the R_i combs each is sixteen 16-bit pieces over two
+    # tables, so every count makes 15 squarings and one multiplication per
+    # non-empty column of each table, minus 1.  One table of eight 32-bit
+    # pieces gave (31, 31), (31, 159) and (31, 317), and five 52-bit pieces
+    # (51, 51), (51, 254) and (51, 500).
+    @pytest.mark.parametrize("count, ops", [(1, (15, 31)), (5, (15, 159)), (10, (15, 318))])
     def test_representative_on_fixture_attributes(self, public, per_call, count, ops):
         scheme.modexp_representative(DEFAULT_ATTRIBUTES[:count], public)
         assert per_call == [ops]
@@ -374,24 +397,27 @@ class TestModexpMulmodCounts:
 
 class TestCombs:
     """A comb term gives what the binary chain of scalar_mul or mod_pow
-    gives, for every exponent below 2^(pieces*width), and raises ValueError
-    for the rest rather than computing a wrong result."""
+    gives, for every exponent below 2^(tables*pieces*width), and raises
+    ValueError for the rest rather than computing a wrong result."""
 
     @staticmethod
     def check(comb, chain, combed, rng):
-        p, w = comb.pieces, comb.width
-        # Edge cases, then exponents whose top p - 1, ..., 1 pieces are
-        # zero, then full-width ones.
-        exps = ([0, 1, 2**w - 1, 2**w, 2**((p - 1) * w), Q - 1, 2**256 - 1]
-                + [rng.getrandbits(j * w) for j in range(1, p)]
-                + [rng.getrandbits(p * w) for _ in range(3)])
+        w, pieces = comb.width, len(comb.tables) * comb.pieces
+        h = comb.pieces * w  # the split bit: the high table's first piece
+        # Edge cases, then exponents around the split, with a zero high
+        # and a zero low half, then exponents whose top pieces - 1, ..., 1
+        # pieces are zero, then full-width ones.
+        exps = ([0, 1, 2**w - 1, 2**w, Q - 1, 2**256 - 1,
+                 2**h - 1, 2**h, 2**h + 1, rng.getrandbits(h), rng.getrandbits(h) << h]
+                + [rng.getrandbits(j * w) for j in range(1, pieces)]
+                + [rng.getrandbits(pieces * w) for _ in range(3)])
         for e in exps:
-            if e >> p * w:
+            if e >> pieces * w:
                 with pytest.raises(ValueError):
                     combed(e)
             else:
                 assert combed(e) == chain(e), e
-        for e in (-1, 1 << p * w, (1 << p * w) + 1):
+        for e in (-1, 1 << pieces * w, (1 << pieces * w) + 1):
             with pytest.raises(ValueError):
                 combed(e)
 
@@ -399,7 +425,8 @@ class TestCombs:
         rng = random.Random(0xC0B)
         for pt in (BASE, ecc_keygen(rng).public):
             comb = curve.point_comb(pt)
-            assert (comb.count, comb.pieces, comb.width, len(comb.table)) == (1, 8, 32, 256)
+            assert (comb.count, comb.pieces, comb.width) == (1, 8, 16)
+            assert [len(table) for table in comb.tables] == [256, 256]
             self.check(comb, lambda k: to_affine(scalar_mul(k, pt)),
                        lambda k: to_affine(curve.multi_scalar_mul([(k, comb)])), rng)
 
@@ -407,7 +434,7 @@ class TestCombs:
         n = rsa_key.n
         base = derive_modexp_base(n, 3)
         comb = field.mod_comb(base, 256, n)
-        assert (comb.pieces, comb.width) == (8, 32)
+        assert (comb.pieces, comb.width, len(comb.tables)) == (8, 16, 2)
         self.check(comb, lambda e: mod_pow(base, e, n),
                    lambda e: field.multi_mod_pow([(comb, e)], n), random.Random(0xC0C))
 
@@ -430,8 +457,8 @@ class TestCombs:
                               st.integers(0, Q - 1)),
                     min_size=1, max_size=scheme.MAX_ATTRIBUTES))
     def test_comb_of_k_generators_is_the_sum_of_their_multiples(self, scalars):
-        # k = 1..4 combs split each scalar into 8 // k pieces; from five on
-        # the comb is the subset table of the generators alone.
+        # k = 1..4 combs split each scalar into two tables of 8 // k pieces;
+        # from five on the comb is the subset table of the generators alone.
         got = curve.multi_scalar_mul([(scalars, scheme.commit_table(len(scalars)))])
         want = NEUTRAL
         for i, a in enumerate(scalars):
@@ -449,18 +476,23 @@ class TestKeptTables:
     keeps the combs of its latest key only."""
 
     def test_one_commit_table_per_attribute_count(self):
-        table = scheme.commit_table(3)
-        assert scheme.commit_table(3) is table
-        # Two pieces of each generator, H_i and 2^127 * H_i, at bits 2i, 2i + 1,
-        # each entry in cached affine form.
-        assert (table.count, table.pieces, len(table.table)) == (3, 2, 2**6)
-        assert table.table[0b010001] == kept_entry(
-            point_add(derive_generator(0), derive_generator(2)))
-        assert table.table[0b000010] == kept_entry(scalar_mul(2**127, derive_generator(0)))
+        kept = scheme.commit_table(3)
+        assert scheme.commit_table(3) is kept
+        # Two tables of two 64-bit pieces of each generator: the low one
+        # over H_i and 2^64 * H_i, the high one over 2^128 * H_i and
+        # 2^192 * H_i, at bits 2i, 2i + 1, each entry in cached affine form.
+        assert (kept.count, kept.pieces, kept.width) == (3, 2, 64)
+        assert [len(table) for table in kept.tables] == [2**6, 2**6]
+        low, high = kept.tables
+        assert low[0b010001] == kept_entry(point_add(derive_generator(0), derive_generator(2)))
+        assert low[0b000010] == kept_entry(scalar_mul(2**64, derive_generator(0)))
+        assert high[0b000001] == kept_entry(scalar_mul(2**128, derive_generator(0)))
+        assert high[0b100000] == kept_entry(scalar_mul(2**192, derive_generator(2)))
         # From five attributes on, the subset sums of the generators alone.
-        table = scheme.commit_table(5)
-        assert (table.count, table.pieces, len(table.table)) == (5, 1, 2**5)
-        assert table.table[0b101] == kept_entry(point_add(derive_generator(0), derive_generator(2)))
+        kept = scheme.commit_table(5)
+        assert (kept.count, kept.pieces, [len(table) for table in kept.tables]) == (5, 1, [2**5])
+        assert kept.tables[0][0b101] == kept_entry(
+            point_add(derive_generator(0), derive_generator(2)))
 
     @pytest.mark.parametrize("count", [1, 3, 10])
     def test_each_base_comb_is_built_on_its_first_use(self, rsa_key, comb_builds, count):
@@ -581,7 +613,7 @@ def sign_by_hand(secret, public, attrs, k, nonce_point):
     and the nonce point in the challenge may carry a torsion component that
     secret * B and k * B lack."""
     commitment = ecc_commit(attrs)
-    c = scheme._challenge(public, commitment, nonce_point, attrs)
+    c = scheme._challenge(public, curve.to_affine_all([commitment, nonce_point]), attrs)
     return scheme.EccCredential(tuple(attrs), commitment, nonce_point, (k + c * secret) % Q)
 
 
@@ -593,7 +625,8 @@ class TestEccVerifyEquation:
     def oracle(public, cred):
         if not point_equal(ecc_commit(cred.attributes), cred.commitment):
             return False
-        c = scheme._challenge(public, cred.commitment, cred.nonce_point, cred.attributes)
+        c = scheme._challenge(public, curve.to_affine_all([cred.commitment, cred.nonce_point]),
+                              cred.attributes)
         return oracles.schnorr_equation_holds(
             cred.response, c, to_affine(cred.nonce_point), to_affine(public))
 
@@ -635,7 +668,8 @@ class TestEccVerifyEquation:
             if t:
                 nonce_point = point_add(nonce_point, TORSION_2)
             cred = sign_by_hand(ecc_key.secret, public, [rng.randrange(Q)], k, nonce_point)
-            c = scheme._challenge(public, cred.commitment, nonce_point, cred.attributes)
+            c = scheme._challenge(public, curve.to_affine_all([cred.commitment, nonce_point]),
+                                  cred.attributes)
             valid = self.verdict(public, cred)
             assert valid == ((c * s + t) % 2 == 0)
             verdicts.add(valid)
