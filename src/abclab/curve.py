@@ -181,15 +181,11 @@ def point_comb(*points: ExtendedPoint) -> Comb:
     """The comb of the points for scalars below 2^256, and 2^253 from five
     points on: two tables of eight 16-bit pieces for one point, four of 32
     for two, two of 64 for three or four, and one of one piece from five.
-    Each entry (x, y) is kept in cached form with Z = 1, (y+x, y-x, 2,
-    2d*x*y), by one to_affine_all over both tables."""
+    Each entry (x, y) is kept as to_cached of (x : y : 1 : xy), by one
+    to_affine_all over both tables."""
+    entry = lambda x, y: to_cached((x, y, 1, x * y % P))
     return comb(points, Q.bit_length(), point_add, lambda p, k: scalar_mul(k, p),
-                lambda entries: to_affine_all(entries, _kept_entry))
-
-
-def _kept_entry(x: int, y: int) -> tuple:
-    """The affine point (x, y) as a point_comb entry: to_cached of (x : y : 1 : xy)."""
-    return (y + x) % P, (y - x) % P, 2, _D2 * x * y % P
+                lambda entries: to_affine_all(entries, entry))
 
 
 def scalar_mul_counted(k: int, pt: ExtendedPoint) -> tuple[ExtendedPoint, int, int]:

@@ -63,10 +63,11 @@ def fe_inv(a: int) -> int:
     Every conversion to affine coordinates pays one, for a whole list of
     points: ``to_affine_all``, so one per ecc160 challenge, which encodes
     the commitment and the nonce point together (one per issue and one per
-    verify, as the issuer key's bytes are kept), one per ecc160 keygen, one
-    per kept curve comb, and one per point the wire codecs encode.  Issue,
-    keygen and the codecs give points with Z = 1, so verifying or encoding
-    them inverts 1, in two steps of mod_inv's loop.
+    verify, as the issuer key's bytes are kept), two per ecc160 keygen (x*B
+    to Z = 1, then load_ecc_public's encoding of it), one per kept curve
+    comb, and one per point the wire codecs encode.  Issue, keygen and the
+    codecs give points with Z = 1, so verifying or encoding them inverts 1,
+    in two steps of mod_inv's loop.
     """
     if a % P == 0:
         raise ZeroInverse("0 has no inverse mod p")

@@ -65,6 +65,7 @@ from .curve import (
     NEUTRAL,
     ExtendedPoint,
     check_point,
+    from_affine,
     multi_scalar_mul,
     point_comb,
     point_equal,
@@ -74,7 +75,7 @@ from .curve import (
     to_affine_all,
 )
 from .field import (
-    P, Q, Comb, encode32, mod_comb, mod_inv, mod_pow, multi_mod_pow, sc_reduce_wide,
+    Comb, Q, encode32, mod_comb, mod_inv, mod_pow, multi_mod_pow, sc_reduce_wide,
 )
 
 MAX_ATTRIBUTES = 10
@@ -191,12 +192,6 @@ def point_bytes(affine) -> bytes:
     return b"".join(encode32(x) + encode32(y) for x, y in affine)
 
 
-def _with_z1(affine) -> list[ExtendedPoint]:
-    """Each affine (x, y) as the point (x : y : 1 : xy), by one mulmod: the
-    form a decoded document gives, so a later to_affine inverts only 1."""
-    return [ExtendedPoint(x, y, 1, x * y % P) for x, y in affine]
-
-
 # ---------------------------------------------------------------------------
 # ecc160: commitment + Schnorr-style signature
 # ---------------------------------------------------------------------------
@@ -231,10 +226,11 @@ def derive_generator(i: int) -> ExtendedPoint:
 
 def ecc_keygen(rng=None) -> EccIssuerKey:
     """A random secret x and its public x * B with Z = 1, the form its key
-    document decodes to, so both load as one kept key."""
+    document decodes to, so both load as one kept key, and the load's
+    encoding of it inverts only 1."""
     rng = rng or _SYSTEM_RNG
     x = rng.randrange(1, Q)
-    public, = _with_z1([to_affine(multi_scalar_mul([(x, _B_COMB)]))])
+    public = from_affine(to_affine(multi_scalar_mul([(x, _B_COMB)])))
     key = EccIssuerKey(secret=x, public=public)
     load_ecc_public(key.public)
     return key
@@ -282,7 +278,7 @@ def ecc_issue(key: EccIssuerKey, attrs, rng=None) -> EccCredential:
     affine = to_affine_all([commitment, multi_scalar_mul([(k, _B_COMB)])])
     c = _challenge(key.public, affine, attrs)
     z = (k + c * key.secret) % Q
-    return EccCredential(attrs, *_with_z1(affine), z)
+    return EccCredential(attrs, *map(from_affine, affine), z)
 
 
 def ecc_verify(public: ExtendedPoint, cred: EccCredential) -> bool:

@@ -404,10 +404,12 @@ class TestCombs:
     def check(comb, chain, combed, rng):
         w, pieces = comb.width, len(comb.tables) * comb.pieces
         h = comb.pieces * w  # the split bit: the high table's first piece
-        # Edge cases, then exponents around the split, with a zero high
-        # and a zero low half, then exponents whose top pieces - 1, ..., 1
-        # pieces are zero, then full-width ones.
+        # Edge cases, the top piece of the low and of the high table, then
+        # exponents around the split, with a zero high and a zero low half,
+        # then exponents whose top pieces - 1, ..., 1 pieces are zero, then
+        # full-width ones.
         exps = ([0, 1, 2**w - 1, 2**w, Q - 1, 2**256 - 1,
+                 2**((comb.pieces - 1) * w), 2**((pieces - 1) * w),
                  2**h - 1, 2**h, 2**h + 1, rng.getrandbits(h), rng.getrandbits(h) << h]
                 + [rng.getrandbits(j * w) for j in range(1, pieces)]
                 + [rng.getrandbits(pieces * w) for _ in range(3)])
