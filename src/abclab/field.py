@@ -9,8 +9,9 @@ start.  ``multi_mod_pow`` (whose one-term case is ``mod_pow``)
 runs it mod m, and the curve's ``multi_scalar_mul`` on points.  Both loops
 are explicit interpreted code with no built-in pow.  No call builds a
 table: a ``Comb`` term brings the ones its caller built once and keeps, and
-any other term is its own one-entry table.  All functions are pure and safe
-to call concurrently.
+any other term becomes its own one-entry ``Comb``, so the loop makes one
+pass over one kind of term.  All functions are pure and safe to call
+concurrently.
 """
 
 from __future__ import annotations
@@ -58,17 +59,7 @@ def mod_inv(a: int, m: int) -> int:
 
 
 def fe_inv(a: int) -> int:
-    """Multiplicative inverse mod p, by mod_inv; ZeroInverse for a == 0 mod p.
-
-    Every conversion to affine coordinates pays one, for a whole list of
-    points: ``to_affine_all``, so one per ecc160 challenge, which encodes
-    the commitment and the nonce point together (one per issue and one per
-    verify, as the issuer key's bytes are kept), two per ecc160 keygen (x*B
-    to Z = 1, then load_ecc_public's encoding of it), one per kept curve
-    comb, and one per point the wire codecs encode.  Issue, keygen and the
-    codecs give points with Z = 1, so verifying or encoding them inverts 1,
-    in two steps of mod_inv's loop.
-    """
+    """Multiplicative inverse mod p, by mod_inv; ZeroInverse for a == 0 mod p."""
     if a % P == 0:
         raise ZeroInverse("0 has no inverse mod p")
     return mod_inv(a, P)
@@ -131,50 +122,43 @@ def straus(terms, combine, square, start=lambda entry: entry):
     chains of vectors", 1964): combine(a, b) is the group operation,
     square(a) combines a with itself, and start(entry) is a table entry as
     a result, for tables whose entries have a form of their own (the
-    curve's cached points).  None if no term has a non-zero
-    exponent; ValueError for a negative exponent, one too wide for its Comb,
-    or more exponents than a Comb term's table has elements.
+    curve's cached points).  None if no term has a non-zero exponent;
+    ValueError for a negative exponent, one too wide for its Comb, or more
+    exponents than a Comb term's table has elements.
 
-    Terms whose exponents are all zero are dropped.  Each other term gives
-    groups over tables no call builds: a Comb term one group per kept table
-    whose pieces are not all zero, with an int or one exponent per element,
-    each exponent's width-bit pieces the exponents of the table's powers;
-    any other element one group over its one-entry table [None, elem].  All
-    groups share one chain, top bit first: square once per bit position
-    below the top, and combine in each group's entry for the exponents with
-    that bit set, if any.  The first selected entry starts the result,
-    through start, so a call costs max(bit_length) - 1 squarings over the
-    exponents and comb pieces, and one combine per (bit position, group)
-    whose column is not zero, minus 1.  No call makes a table combine.  A
-    one-term call without a kept table costs bit_length - 1 squarings and
-    popcount - 1 combines.
+    Every term is a Comb: any other element is its own one-entry comb,
+    Comb(1, 1, bit_length, ([None, elem],)).  A term gives one group per
+    table whose pieces are not all zero, with an int or one exponent per
+    element, each exponent's width-bit pieces the exponents of the table's
+    powers.  One pass over the bit positions, top bit first, serves all
+    groups: square once the result is set, then combine in each group's
+    entry for the exponents with that bit set, if any; the first selected
+    entry starts the result, through start.  So a call costs
+    max(bit_length) - 1 squarings over the exponents and comb pieces, and
+    one combine per (bit position, group) whose column is not zero, minus
+    1.  No call makes a table combine.  A one-term call without a kept
+    table costs bit_length - 1 squarings and popcount - 1 combines.
     """
     groups = []   # (table, the exponent of each of its elements)
     for exp, elem in terms:
-        kept = isinstance(elem, Comb)
-        exps = tuple(exp) if kept and not isinstance(exp, int) else (exp,)
+        if not isinstance(elem, Comb):
+            elem = Comb(1, 1, exp.bit_length(), ([None, elem],))
+        exps = (exp,) if isinstance(exp, int) else tuple(exp)
         if any(e < 0 for e in exps):
             raise ValueError("exponents and scalars must be non-negative")
-        if not any(exps):
-            continue
-        if kept:
-            if len(exps) > elem.count:
-                raise ValueError("more exponents than its table has elements")
-            pieces, width = elem.pieces, elem.width
-            if any(e >> len(elem.tables) * pieces * width for e in exps):
-                raise ValueError("exponent too wide for its comb")
-            mask = (1 << width) - 1
-            for h, table in enumerate(elem.tables):
-                split = [e >> (h * pieces + j) * width & mask for e in exps for j in range(pieces)]
-                if any(split):
-                    groups.append((table, split))
-        else:
-            groups.append(([None, elem], exps))
-    if not groups:
-        return None
-    top = max(exp.bit_length() for _, exps in groups for exp in exps) - 1
+        if len(exps) > elem.count:
+            raise ValueError("more exponents than its table has elements")
+        pieces, width = elem.pieces, elem.width
+        if any(e >> len(elem.tables) * pieces * width for e in exps):
+            raise ValueError("exponent too wide for its comb")
+        mask = (1 << width) - 1
+        for h, table in enumerate(elem.tables):
+            split = [e >> (h * pieces + j) * width & mask for e in exps for j in range(pieces)]
+            if any(split):
+                groups.append((table, split))
+    top = max((exp.bit_length() for _, exps in groups for exp in exps), default=0)
     for g, (table, exps) in enumerate(groups):
-        columns = [0] * (top + 1)
+        columns = [0] * top
         for j, exp in enumerate(exps):
             # Binary digits least significant first: digit i is bit i.
             for i, digit in enumerate(format(exp, "b")[::-1]):
@@ -182,16 +166,13 @@ def straus(terms, combine, square, start=lambda entry: entry):
                     columns[i] |= 1 << j
         groups[g] = table, columns
     acc = None
-    for table, columns in groups:
-        if columns[top]:
-            entry = table[columns[top]]
-            acc = start(entry) if acc is None else combine(acc, entry)
     for i in range(top - 1, -1, -1):
-        acc = square(acc)
+        if acc is not None:
+            acc = square(acc)
         for table, columns in groups:
             index = columns[i]
             if index:
-                acc = combine(acc, table[index])
+                acc = start(table[index]) if acc is None else combine(acc, table[index])
     return acc
 
 

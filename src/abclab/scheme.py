@@ -36,10 +36,24 @@ low and the high half of each exponent, up to four elements, so a
 one-element comb holds twice 256 entries and runs a 253-bit scalar in 15
 doublings.  A curve comb keeps its entries in the cached affine form of
 ``curve.point_comb``, so each of its additions costs 7 multiplications mod
-p, not 9.  Each ecc160 challenge pays one field inversion, for the
-commitment and the nonce point together; ecc_issue returns both with Z = 1
-from it, and keygen the public point, as their documents decode them, so
-a verify or an encoding of them inverts only 1.
+p, not 9.
+
+Field inversions (``field.fe_inv``) come only from ``curve.to_affine_all``,
+one per list of points converted.  Per ecc160 operation:
+
+- issue: one, the challenge's, for the commitment and the nonce point
+  together; ecc_issue returns both with Z = 1 from it;
+- verify: one, the challenge's, of 1, as issue and the wire decoder give
+  points with Z = 1;
+- keygen: three, x*B to Z = 1, -Q_pub's comb, and the encoding of the
+  Z = 1 public point, which inverts 1; keygen returns that point, the form
+  its key document decodes to;
+- a kept curve comb: one per build, so the first commitment to k
+  attributes pays one more;
+- the wire codecs: one per point encoded, of 1 for points with Z = 1;
+  decoding pays none.
+
+An inversion of 1 is two steps of ``field.mod_inv``'s loop.
 
 Each scheme is one ``Scheme`` object in the ``SCHEMES`` registry: its
 protocol functions, its key check and the wire layouts of its documents.

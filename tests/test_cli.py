@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import signal
 import socket
 import struct
 import subprocess
@@ -495,6 +496,24 @@ class TestServe:
             assert "handler failure" not in log.read_text()
         assert time.monotonic() - started < 30
 
+    def test_sigint_stops_the_issuer_with_exit_0(self, key_files):
+        # A shell may start the suite with SIGINT ignored, which a child
+        # would inherit; the child must get the default, KeyboardInterrupt.
+        with subprocess.Popen(**abclab("serve-issuer", "--bind", "127.0.0.1:0",
+                                       *key_flags(key_files, 0)),
+                              stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                              preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL)
+                              ) as proc:
+            try:
+                endpoint = wire.parse_endpoint(proc.stdout.readline().split()[-1])
+                wire.client_issue(endpoint, "ecc160", [1])  # so it is in its accept loop
+                proc.send_signal(signal.SIGINT)
+                out, _ = proc.communicate(timeout=10)
+            finally:
+                proc.kill()
+        assert out == "stopped\n"
+        assert proc.returncode == 0
+
     def test_port_that_is_held_exits_3_before_serving(self, key_files):
         with socket.create_server(("127.0.0.1", 0)) as held:
             port = held.getsockname()[1]
@@ -542,6 +561,19 @@ class TestBenchAndReport:
         assert run_cli("report", "--records", str(records),
                        "--format", "csv", "--out", str(report)) == 0
         assert report.read_text().startswith("scheme,phase,attr_count,metric")
+
+    def test_report_of_issue_records_only_has_no_verification_tables(self, tmp_path):
+        records, report = tmp_path / "records.json", tmp_path / "report.md"
+        assert run_cli("bench", "--schemes", "ecc160", "--attr-counts", "1",
+                       "--runs", "2", "--seed", "5", "--out", str(records)) == 0
+        doc = json.loads(records.read_text())
+        doc["records"] = [r for r in doc["records"] if r["phase"] == "issue"]
+        records.write_text(json.dumps(doc))
+        assert run_cli("report", "--records", str(records), "--format", "markdown",
+                       "--out", str(report)) == 0
+        text = report.read_text()
+        assert "## Issuance time" in text and "## Issuance memory" in text
+        assert "Verification" not in text
 
     def test_bench_seed_reproduces_credentials(self, tmp_path):
         digests = []

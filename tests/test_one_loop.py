@@ -2,10 +2,12 @@
 scalar_mul, multi_mod_pow and multi_scalar_mul are calls with no loop of
 their own, and only multi_scalar_mul doubles points, so no second
 square-and-multiply or double-and-add loop can come back elsewhere in the
-package.  Only field.comb, the builder of every kept table, tabulates
-subsets, so no call of the loop builds a table.  Nothing in the
-package calls the builtin pow, whose C loop would give one side a faster
-substrate than the other."""
+package.  Inside straus, each group operation has one call site, in its one
+pass over the bit positions, and a term without a kept table becomes a
+Comb rather than a case of its own.  Only field.comb, the builder of every
+kept table, tabulates subsets, so no call of the loop builds a table.
+Nothing in the package calls the builtin pow, whose C loop would give one
+side a faster substrate than the other."""
 
 import ast
 from pathlib import Path
@@ -29,6 +31,20 @@ def test_single_term_forms_have_no_loop():
         loops = [node for node in ast.walk(top_level_functions(module)[name])
                  if isinstance(node, (ast.For, ast.While))]
         assert not loops, f"{module}:{name} has a loop of its own"
+
+
+def test_straus_makes_one_pass_over_one_kind_of_term():
+    straus = top_level_functions("field.py")["straus"]
+
+    def sites(node):
+        return [called_name(call) for call in ast.walk(node) if isinstance(call, ast.Call)]
+
+    calls = sites(straus)
+    for name in ("start", "square", "combine", "Comb"):
+        assert calls.count(name) == 1, f"straus calls {name} at {calls.count(name)} sites"
+    passes = [node for node in ast.walk(straus)
+              if isinstance(node, ast.For) and "square" in sites(node)]
+    assert len(passes) == 1 and {"start", "combine"} <= set(sites(passes[0]))
 
 
 def callers(name):

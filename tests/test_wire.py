@@ -496,6 +496,28 @@ class TestServices:
         assert waited < wire.CONNECTION_TIMEOUT_S + 3
         assert any("dropped" in r.getMessage() for r in caplog.records)
 
+    def test_handler_failure_is_internal_and_the_next_request_is_served(
+            self, threaded_services, rsa_key, caplog):
+        # scheme.issue raises AttributeError on a key that is no issuer key:
+        # no WireError, so only the catch-all of the accept loop answers it.
+        issuer_ep, _ = threaded_services({"ecc160": object(), "modexp1024": rsa_key}, {})
+        with caplog.at_level(logging.ERROR, logger="abclab.wire"):
+            with pytest.raises(RemoteError) as err:
+                client_issue(issuer_ep, "ecc160", [1])
+        assert err.value.code == "INTERNAL"
+        assert [r.getMessage() for r in caplog.records] == ["handler failure"]
+        name, cred = credential_from_wire(client_issue(issuer_ep, "modexp1024", [1])[0])
+        assert scheme.verify(name, rsa_key.public, cred)
+
+    def test_request_past_its_deadline_is_not_read(self, monkeypatch):
+        monkeypatch.setattr(wire, "CONNECTION_TIMEOUT_S", 0)
+        server, peer = socket.socketpair()
+        with server, peer:
+            peer.sendall(b"x")
+            with pytest.raises(TimeoutError):
+                wire._RequestReader(server).read(1)
+            assert server.recv(1) == b"x"  # still there: the reader made no recv
+
     def test_dripping_peer_is_dropped(self, services):
         # One byte every 1.5 s keeps each read within the timeout, while the
         # whole 10-byte frame would take 13.5 s.
