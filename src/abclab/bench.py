@@ -2,11 +2,13 @@
 
 Reproduces the evaluation grid (schemes x attribute counts x repeated runs)
 and aggregates each cell into min/max/mean plus the share of runs at or
-above the mean.  Memory is the OS resident set size of this process in MB,
-rounded to two decimal places, read just before and just after each phase.
-The scheme names, the attribute bound and the pair the ratio rows compare
-come from the scheme registry.  A file that cannot be read or written raises
-the OSError of the open or the write; the CLI turns it into exit 3.
+above the mean.  Time is wire.time_phase's: in-process around the scheme
+call, over the wire the client's round trip after connect.  Memory is the
+OS resident set size of this process in MB, rounded to two decimal places,
+read just before and just after each phase.  The scheme names, the
+attribute bound and the pair the ratio rows compare come from the scheme
+registry.  A file that cannot be read or written raises the OSError of the
+open or the write; the CLI turns it into exit 3.
 """
 
 from __future__ import annotations
@@ -20,10 +22,10 @@ import os
 import random
 import statistics
 import sys
-import time
 from dataclasses import MISSING, asdict, astuple, dataclass, fields
 
 from . import scheme, wire
+from .wire import time_phase
 
 log = logging.getLogger(__name__)
 
@@ -131,13 +133,6 @@ def rss_mb() -> float:
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     scale = 1 if sys.platform == "darwin" else 1024  # macOS reports bytes, Linux kB
     return round(peak * scale / 2**20, 2)
-
-
-def time_phase(action):
-    """Run action under the monotonic clock; returns (result, elapsed_ms)."""
-    start = time.perf_counter()
-    result = action()
-    return result, (time.perf_counter() - start) * 1e3
 
 
 def memory_phase(action):

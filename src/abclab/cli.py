@@ -114,7 +114,9 @@ def cmd_keygen(args) -> int:
 
 def cmd_issue(args) -> int:
     attrs = _parse_attrs(args)
-    if args.remote or not args.key:
+    if not args.key:
+        if args.seed is not None:
+            raise UsageError("--seed needs --key: a remote issuer draws its own nonces")
         endpoint = _resolve_endpoint(wire.ISSUER_ADDR_ENV, wire.DEFAULT_ISSUER_PORT,
                                      args.remote)
         doc, round_trip_ms = wire.client_issue(endpoint, args.scheme, attrs)
@@ -140,7 +142,7 @@ def cmd_verify(args) -> int:
     scheme_name, cred = wire.credential_from_wire(doc)  # before any connection
     if args.scheme not in (None, scheme_name):
         raise UsageError(f"scheme mismatch: --scheme={args.scheme} credential={scheme_name}")
-    if args.remote or not args.pub:
+    if not args.pub:
         endpoint = _resolve_endpoint(wire.VERIFIER_ADDR_ENV, wire.DEFAULT_VERIFIER_PORT,
                                      args.remote)
         valid, round_trip_ms = wire.client_verify(endpoint, scheme_name, doc)
@@ -254,17 +256,19 @@ def build_parser() -> _Parser:
     p.add_argument("--attrs", type=_int_list, help="comma-separated decimal attribute values")
     p.add_argument("--attr-count", type=_decimal, default=10,
                    help="use first N fixture attributes when --attrs is omitted")
-    p.add_argument("--key", help="issuer key file for local issuance")
-    p.add_argument("--remote", help="issuer endpoint host:port")
+    where = p.add_mutually_exclusive_group()
+    where.add_argument("--key", help="issuer key file for local issuance")
+    where.add_argument("--remote", help="issuer endpoint host:port")
     p.add_argument("--out", required=True, help="credential file to write")
-    p.add_argument("--seed", type=_seed)
+    p.add_argument("--seed", type=_seed, help="deterministic local issuance (needs --key)")
     p.set_defaults(func=cmd_issue)
 
     p = sub.add_parser("verify", help="verify a credential file")
     p.add_argument("--scheme", choices=scheme.SCHEME_NAMES)
     p.add_argument("--cred", required=True, help="credential file")
-    p.add_argument("--pub", help="issuer public key file for local verification")
-    p.add_argument("--remote", help="verifier endpoint host:port")
+    where = p.add_mutually_exclusive_group()
+    where.add_argument("--pub", help="issuer public key file for local verification")
+    where.add_argument("--remote", help="verifier endpoint host:port")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("serve-issuer", help="run the issuance service")

@@ -4,6 +4,11 @@ Frames are a 4-byte big-endian length followed by a UTF-8 JSON body of at
 most 1 MiB.  Services are deliberately sequential: one connection, one
 request, one response, close.  Keeping concurrency out of the loop keeps
 the benchmark's timings clean.
+
+time_phase here is the package's one clock.  A service times its scheme
+call and sends it in its reply: issue_ms in each ISSUE_RESPONSE, verify_ms
+in each VERIFY_RESPONSE.  A client times its request's write and the
+reply's read after connect, the connect excluded.
 """
 
 from __future__ import annotations
@@ -85,6 +90,14 @@ class RemoteError(WireError):
 class Envelope:
     type: str
     payload: dict
+
+
+def time_phase(action):
+    """Run action under the monotonic clock; returns (result, elapsed_ms).
+    Every time the package reports is taken here."""
+    start = time.perf_counter()
+    result = action()
+    return result, (time.perf_counter() - start) * 1e3
 
 
 # ---------------------------------------------------------------------------
@@ -350,9 +363,7 @@ def _handle_issue(scheme_name: str, key, payload: dict) -> Envelope:
         scheme.check_attributes(attrs)
     except (MalformedCredential, ValueError) as exc:
         return _error_envelope("BAD_ATTRIBUTES", str(exc))
-    start = time.perf_counter()
-    cred = scheme.issue(scheme_name, key, attrs)
-    issue_ms = (time.perf_counter() - start) * 1e3
+    cred, issue_ms = time_phase(lambda: scheme.issue(scheme_name, key, attrs))
     return Envelope(
         "ISSUE_RESPONSE",
         {"credential": credential_to_wire(scheme_name, cred), "issue_ms": issue_ms},
@@ -366,9 +377,7 @@ def _handle_verify(scheme_name: str, public, payload: dict) -> Envelope:
             raise MalformedCredential("scheme tag mismatch")
     except MalformedCredential as exc:
         return _error_envelope("MALFORMED", str(exc))
-    start = time.perf_counter()
-    valid = scheme.verify(scheme_name, public, cred)
-    verify_ms = (time.perf_counter() - start) * 1e3
+    valid, verify_ms = time_phase(lambda: scheme.verify(scheme_name, public, cred))
     return Envelope("VERIFY_RESPONSE", {"valid": valid, "verify_ms": verify_ms})
 
 
@@ -399,10 +408,8 @@ def _exchange(endpoint: tuple[str, int], request: Envelope,
     try:
         with socket.create_connection(endpoint, timeout=10) as conn, \
                 conn.makefile("rwb") as stream:
-            start = time.perf_counter()
-            frame_write(stream, request)
-            response = frame_read(stream)
-            round_trip_ms = (time.perf_counter() - start) * 1e3
+            response, round_trip_ms = time_phase(
+                lambda: frame_write(stream, request) or frame_read(stream))
     except OSError as exc:
         raise ConnectionFailed(f"cannot reach {endpoint[0]}:{endpoint[1]}: {exc}") from None
     if response.type == "ERROR":

@@ -340,6 +340,31 @@ class TestRemote:
                        "--out", str(tmp_path / "c.json")) == 1
         assert capsys.readouterr().err.startswith("error: endpoint must be host:port")
 
+    # Each pair says where to issue or verify, and a seed drives only local
+    # issuance: given together, one of them would be dropped unread.
+    @pytest.mark.parametrize("argv, message", [
+        (["issue", "--scheme", "ecc160", "--key", "KEY", "--remote", "127.0.0.1:9"],
+         "argument --remote: not allowed with argument --key"),
+        (["issue", "--scheme", "ecc160", "--seed", "1"], "--seed needs --key"),
+        (["verify", "--cred", "CRED", "--pub", "KEY", "--remote", "127.0.0.1:9"],
+         "argument --remote: not allowed with argument --pub"),
+    ], ids=["issue-key-and-remote", "issue-seed-without-key", "verify-pub-and-remote"])
+    def test_contradictory_options_exit_1_and_open_no_socket(
+            self, tmp_path, monkeypatch, capsys, ecc_key_file, argv, message):
+        cred, out = tmp_path / "cred.json", tmp_path / "out.json"
+        assert run_cli("issue", "--scheme", "ecc160", "--attrs", "5",
+                       "--key", str(ecc_key_file), "--out", str(cred)) == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("no connection may be opened")
+
+        monkeypatch.setattr(socket, "create_connection", refuse)
+        monkeypatch.delenv(wire.ISSUER_ADDR_ENV, raising=False)
+        argv = [{"KEY": str(ecc_key_file), "CRED": str(cred)}.get(arg, arg) for arg in argv]
+        assert run_cli(*argv, *(["--out", str(out)] if argv[0] == "issue" else [])) == 1
+        assert not out.exists()
+        assert message in capsys.readouterr().err
+
     def test_issue_reply_without_credential_exits_1(self, tmp_path, fake_service, capsys):
         endpoint = fake_service(wire.Envelope("ISSUE_RESPONSE", {"issue_ms": 1.0}))
         assert run_cli("issue", "--scheme", "ecc160", "--attrs", "1",

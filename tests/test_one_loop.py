@@ -7,7 +7,8 @@ pass over the bit positions, and a term without a kept table becomes a
 Comb rather than a case of its own.  Only field.comb, the builder of every
 kept table, tabulates subsets, so no call of the loop builds a table.
 Nothing in the package calls the builtin pow, whose C loop would give one
-side a faster substrate than the other."""
+side a faster substrate than the other.  The package has one clock too:
+only wire.time_phase reads time.perf_counter."""
 
 import ast
 from pathlib import Path
@@ -62,6 +63,10 @@ def callers(name):
 def test_only_multi_scalar_mul_doubles():
     outside = callers("point_double") - {"curve.py:multi_scalar_mul"}
     assert not outside, f"point_double called outside multi_scalar_mul: {sorted(outside)}"
+
+
+def test_only_time_phase_reads_the_clock():
+    assert callers("perf_counter") == {"wire.py:time_phase"}
 
 
 def test_only_kept_table_builders_tabulate_subsets():

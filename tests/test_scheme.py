@@ -604,6 +604,13 @@ class TestPrimeSearch:
         self.check_prime(scheme._random_prime(rng))
         assert rng.draws > 1
 
+    def test_search_without_a_prime_is_exhausted(self, monkeypatch):
+        monkeypatch.setattr(scheme, "_PRIME_ATTEMPTS", 2)
+        monkeypatch.setattr(scheme, "_miller_rabin", lambda n, rng: False)
+        with pytest.raises(scheme.PrimeSearchExhausted,
+                           match="^no 512-bit prime in 2 windows of 4096$"):
+            scheme._random_prime(random.Random(7))
+
     def test_keygen_primes_pass_every_base_to_37(self):
         key = rsa_keygen(random.Random(0x5EE))
         for p in (key.p1, key.p2):

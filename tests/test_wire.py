@@ -518,6 +518,24 @@ class TestServices:
                 wire._RequestReader(server).read(1)
             assert server.recv(1) == b"x"  # still there: the reader made no recv
 
+    def test_replies_carry_the_service_times(self, services, monkeypatch):
+        # perfbench subtracts these from each round trip, so a scheme call
+        # made 20 ms slower must show in them.
+        for phase in ("issue", "verify"):
+            real = getattr(scheme, phase)
+            monkeypatch.setattr(scheme, phase,
+                                lambda *args, real=real: time.sleep(0.02) or real(*args))
+        issuer_ep, verifier_ep = services
+        for name in scheme.SCHEME_NAMES:
+            issued, _ = wire._exchange(issuer_ep, Envelope(
+                "ISSUE_REQUEST", {"scheme": name, "attributes": ["1"]}), "ISSUE_RESPONSE")
+            verified, _ = wire._exchange(verifier_ep, Envelope(
+                "VERIFY_REQUEST", {"scheme": name, "credential": issued["credential"]}),
+                "VERIFY_RESPONSE")
+            assert verified["valid"] is True
+            for elapsed_ms in (issued["issue_ms"], verified["verify_ms"]):
+                assert isinstance(elapsed_ms, float) and elapsed_ms >= 20
+
     def test_dripping_peer_is_dropped(self, services):
         # One byte every 1.5 s keeps each read within the timeout, while the
         # whole 10-byte frame would take 13.5 s.
